@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core/colmat"
 	"repro/internal/gp"
+	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/kernel/approx"
 	"repro/internal/linear"
@@ -156,6 +157,13 @@ func TestAllocFloor(t *testing.T) {
 	}
 	appendRow := dcls.Row(0)
 
+	// Steady-state novelty-filter pair: both programs' spectrum counts
+	// are built once, as testsel builds them once per test.
+	spec := kernel.BlendedSpectrum{MaxN: 2, Lambda: 0.25, Normalize: true}
+	progs := isa.NewGenerator(isa.WideTemplate(), 7).Batch(2)
+	specA, specB := spec.CountsMulti(progs[0].Tokens()), spec.CountsMulti(progs[1].Tokens())
+	var specSink float64
+
 	out := make([]float64, probes.Rows)
 	paths := []struct {
 		name string
@@ -176,6 +184,7 @@ func TestAllocFloor(t *testing.T) {
 		{"rules_predict_batch_into", func() { ruleSet.PredictBatchInto(probes, out) }},
 		{"approx_rff_score_batch_into", func() { rffLin.ScoreBatchInto(probes, out) }},
 		{"approx_nystrom_score_batch_into", func() { nysLin.ScoreBatchInto(probes, out) }},
+		{"spectrum_eval_multi", func() { specSink += spec.EvalMulti(specA, specB) }},
 	}
 
 	measured := map[string]bool{}

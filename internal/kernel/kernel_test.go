@@ -164,23 +164,6 @@ func TestBlendedSpectrum(t *testing.T) {
 	}
 }
 
-func TestSeqGramSymmetricPSD(t *testing.T) {
-	seqs := [][]string{
-		{"ld", "add", "st"},
-		{"ld", "add", "mul"},
-		{"st", "st", "st"},
-		{"ld", "add", "st", "ld", "add"},
-	}
-	g := SeqGram(Spectrum{N: 2, Normalize: true}, seqs)
-	m := linalg.FromRows(g)
-	if !m.IsSymmetric(1e-12) {
-		t.Fatal("seq gram not symmetric")
-	}
-	if !IsPSD(m, 1e-8) {
-		t.Fatal("spectrum gram not PSD")
-	}
-}
-
 func TestVocabularyAndNGramFeatures(t *testing.T) {
 	seqs := [][]string{{"b", "a"}, {"a", "c"}}
 	v := Vocabulary(seqs)

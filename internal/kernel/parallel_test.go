@@ -17,19 +17,6 @@ func randMatrix(rng *rand.Rand, rows, cols int) *linalg.Matrix {
 	return m
 }
 
-func randSeqs(rng *rand.Rand, n, length int) [][]string {
-	vocab := []string{"add", "sub", "mul", "lw", "sw", "lb", "sh", "xor"}
-	seqs := make([][]string, n)
-	for i := range seqs {
-		s := make([]string, length)
-		for j := range s {
-			s[j] = vocab[rng.Intn(len(vocab))]
-		}
-		seqs[i] = s
-	}
-	return seqs
-}
-
 // atWorkers evaluates fn once per worker count and asserts all results
 // are element-wise identical to the workers=1 (serial) result.
 func atWorkers(t *testing.T, name string, fn func() *linalg.Matrix) {
@@ -101,27 +88,6 @@ func TestNormalizedGramZeroSelfSimilarity(t *testing.T) {
 	}
 }
 
-func TestSeqGramParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	seqs := randSeqs(rng, 70, 30)
-	for _, k := range []SequenceKernel{Spectrum{N: 2, Normalize: true}, BlendedSpectrum{MaxN: 2, Lambda: 0.5, Normalize: true}} {
-		old := parallel.SetWorkers(1)
-		want := SeqGram(k, seqs)
-		for _, w := range []int{2, 8} {
-			parallel.SetWorkers(w)
-			got := SeqGram(k, seqs)
-			for i := range want {
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("%s workers=%d: [%d][%d] = %v, serial %v", k.Name(), w, i, j, got[i][j], want[i][j])
-					}
-				}
-			}
-		}
-		parallel.SetWorkers(old)
-	}
-}
-
 // --- benchmarks ------------------------------------------------------
 
 // benchAtWorkers runs fn as serial-vs-parallel sub-benchmarks.
@@ -172,17 +138,6 @@ func BenchmarkNormalizedGram(b *testing.B) {
 	b.Run("precomputed-diag", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = NormalizedGram(k, x)
-		}
-	})
-}
-
-func BenchmarkSeqGram(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	seqs := randSeqs(rng, 200, 24)
-	k := Spectrum{N: 2, Normalize: true}
-	benchAtWorkers(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = SeqGram(k, seqs)
 		}
 	})
 }

@@ -2,19 +2,17 @@ package kernel
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
-// Spectrum-kernel metrics: total n-grams counted while building
-// histograms (the unit of tokenization cost) and sequence-Gram cells
-// evaluated. One atomic add per histogram build / per worker chunk.
-var (
-	spectrumNgrams = obs.GetCounter("kernel.spectrum_ngrams")
-	seqGramCells   = obs.GetCounter("kernel.seqgram_cells")
-)
+// spectrumNgrams counts the n-grams tokenized while building histograms
+// (the unit of tokenization cost), one atomic add per histogram build.
+var spectrumNgrams = obs.GetCounter("kernel.spectrum_ngrams")
 
 // SequenceKernel measures the similarity of two token sequences. It is the
 // abstraction behind the paper's observation that a functional test (an
@@ -36,7 +34,8 @@ type Spectrum struct {
 	Normalize bool
 }
 
-// ngramCounts builds the n-gram histogram of a token sequence.
+// ngramCounts builds the string-keyed n-gram histogram of a token
+// sequence, for the named features of NGramFeatures.
 func (s Spectrum) ngramCounts(a []string) map[string]float64 {
 	n := s.N
 	if n < 1 {
@@ -57,29 +56,16 @@ func (s Spectrum) ngramCounts(a []string) map[string]float64 {
 	return m
 }
 
-func dotCounts(a, b map[string]float64) float64 {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	s := 0.0
-	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			s += va * vb
-		}
-	}
-	return s
-}
-
 // EvalSeq implements SequenceKernel.
 func (s Spectrum) EvalSeq(a, b []string) float64 {
-	ca := s.ngramCounts(a)
-	cb := s.ngramCounts(b)
-	v := dotCounts(ca, cb)
+	n := max(s.N, 1)
+	ca, cb := histograms(a, n)[n-1], histograms(b, n)[n-1]
+	v := mergeDot(ca, cb)
 	if !s.Normalize {
 		return v
 	}
-	na := dotCounts(ca, ca)
-	nb := dotCounts(cb, cb)
+	na := mergeDot(ca, ca)
+	nb := mergeDot(cb, cb)
 	if na == 0 || nb == 0 {
 		return 0
 	}
@@ -104,135 +90,160 @@ type BlendedSpectrum struct {
 
 // EvalSeq implements SequenceKernel.
 func (b BlendedSpectrum) EvalSeq(x, y []string) float64 {
-	raw := b.raw(x, y)
-	if !b.Normalize {
-		return raw
-	}
-	nx := b.raw(x, x)
-	ny := b.raw(y, y)
-	if nx == 0 || ny == 0 {
-		return 0
-	}
-	return raw / math.Sqrt(nx*ny)
-}
-
-func (b BlendedSpectrum) raw(x, y []string) float64 {
-	total := 0.0
-	w := b.Lambda
-	for n := 1; n <= b.MaxN; n++ {
-		k := Spectrum{N: n}
-		total += w * k.EvalSeq(x, y)
-		w *= b.Lambda
-	}
-	return total
+	return b.EvalMulti(b.CountsMulti(x), b.CountsMulti(y))
 }
 
 // Name implements SequenceKernel.
 func (b BlendedSpectrum) Name() string { return "blended-spectrum" }
 
-// MultiCounts caches the n-gram histograms of one sequence for n=1..MaxN.
-type MultiCounts []Counts
+// MultiCounts holds the n-gram histograms of one sequence for n=1..MaxN,
+// built once by CountsMulti and reused by every EvalMulti on it. The zero
+// value is the histogram of the empty sequence.
+type MultiCounts struct {
+	levels [][]gramCount // levels[n-1]: the n-gram histogram, sorted by ID
+	// self is rawMulti(x, x) under the (maxN, lambda) that built x.
+	self   float64
+	maxN   int
+	lambda float64
+}
 
-// CountsMulti precomputes histograms for EvalMulti.
+// gramCount is one entry of a sparse histogram: an interned n-gram and
+// its number of occurrences.
+type gramCount struct{ id, n int32 }
+
+// CountsMulti precomputes histograms and the blended self-product for
+// EvalMulti.
 func (b BlendedSpectrum) CountsMulti(seq []string) MultiCounts {
-	out := make(MultiCounts, b.MaxN)
-	for n := 1; n <= b.MaxN; n++ {
-		out[n-1] = Counts(Spectrum{N: n}.ngramCounts(seq))
-	}
-	return out
+	x := MultiCounts{levels: histograms(seq, b.MaxN), maxN: b.MaxN, lambda: b.Lambda}
+	x.self = b.rawMulti(x, x)
+	return x
 }
 
 // EvalMulti evaluates the blended kernel on precomputed histograms,
-// honoring the Normalize flag.
+// honoring the Normalize flag. Counts built under another (MaxN, Lambda)
+// are evaluated over the levels both hold, as if built by b.
 func (b BlendedSpectrum) EvalMulti(x, y MultiCounts) float64 {
 	raw := b.rawMulti(x, y)
 	if !b.Normalize {
 		return raw
 	}
-	nx := b.rawMulti(x, x)
-	ny := b.rawMulti(y, y)
+	nx := b.selfProduct(x)
+	ny := b.selfProduct(y)
 	if nx == 0 || ny == 0 {
 		return 0
 	}
 	return raw / math.Sqrt(nx*ny)
 }
 
+func (b BlendedSpectrum) selfProduct(x MultiCounts) float64 {
+	if x.maxN == b.MaxN && x.lambda == b.Lambda {
+		return x.self
+	}
+	return b.rawMulti(x, x)
+}
+
 func (b BlendedSpectrum) rawMulti(x, y MultiCounts) float64 {
 	total := 0.0
 	w := b.Lambda
-	for n := 0; n < b.MaxN && n < len(x) && n < len(y); n++ {
-		total += w * dotCounts(map[string]float64(x[n]), map[string]float64(y[n]))
+	for n := 0; n < b.MaxN && n < len(x.levels) && n < len(y.levels); n++ {
+		total += w * mergeDot(x.levels[n], y.levels[n])
 		w *= b.Lambda
 	}
 	return total
 }
 
-// Counts is a precomputed n-gram histogram of one sequence, used to batch
-// spectrum-kernel evaluations without re-tokenizing.
-type Counts map[string]float64
-
-// Counts precomputes the n-gram histogram of a sequence for EvalCounts.
-func (s Spectrum) Counts(a []string) Counts { return Counts(s.ngramCounts(a)) }
-
-// EvalCounts evaluates the kernel on precomputed histograms, honoring the
-// Normalize flag.
-func (s Spectrum) EvalCounts(a, b Counts) float64 {
-	v := dotCounts(a, b)
-	if !s.Normalize {
-		return v
+// mergeDot is the dot product of two histograms sorted by ID. Counts are
+// small integers, so the integer sum is exact and equals the float64 sum
+// of the products in any order: kernel values do not depend on which IDs
+// the vocabulary handed out, nor in what order.
+func mergeDot(a, b []gramCount) float64 {
+	var s int64
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].id < b[j].id:
+			i++
+		case a[i].id > b[j].id:
+			j++
+		default:
+			s += int64(a[i].n) * int64(b[j].n)
+			i++
+			j++
+		}
 	}
-	na := dotCounts(a, a)
-	nb := dotCounts(b, b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return v / math.Sqrt(na*nb)
+	return float64(s)
 }
 
-// SeqGram computes the kernel matrix of a set of sequences. For Spectrum
-// kernels the n-gram histograms are precomputed so each sequence is
-// tokenized only once. Histogram construction and the pairwise triangle
-// sweep are striped across the worker pool; the pair {i, j} is evaluated
-// once by the worker owning row min(i, j), which writes both symmetric
-// halves (disjoint elements, race-free), so the matrix is identical to
-// the serial sweep at any worker count.
-func SeqGram(k SequenceKernel, seqs [][]string) [][]float64 {
-	n := len(seqs)
-	g := make([][]float64, n)
-	for i := range g {
-		g[i] = make([]float64, n)
+// histograms returns the n-gram histograms of seq for n = 1..maxN.
+func histograms(seq []string, maxN int) [][]gramCount {
+	if maxN < 1 {
+		return nil
 	}
-	if sp, ok := k.(Spectrum); ok {
-		counts := parallel.MapN(n, gramCutover, func(i int) Counts {
-			return sp.Counts(seqs[i])
-		})
-		parallel.ForN(n, gramCutover, func(lo, hi int) {
-			cells := int64(0)
-			for i := lo; i < hi; i++ {
-				for j := i; j < n; j++ {
-					v := sp.EvalCounts(counts[i], counts[j])
-					g[i][j] = v
-					g[j][i] = v
-				}
-				cells += int64(n - i)
+	ids, total := internGrams(seq, maxN)
+	spectrumNgrams.Add(int64(total))
+	out := make([][]gramCount, maxN)
+	buf := make([]gramCount, 0, total)
+	for n, level := range ids {
+		slices.Sort(level)
+		start := len(buf)
+		for i, id := range level {
+			if i > 0 && id == level[i-1] {
+				buf[len(buf)-1].n++
+			} else {
+				buf = append(buf, gramCount{id, 1})
 			}
-			seqGramCells.Add(cells)
-		})
-		return g
-	}
-	parallel.ForN(n, gramCutover, func(lo, hi int) {
-		cells := int64(0)
-		for i := lo; i < hi; i++ {
-			for j := i; j < n; j++ {
-				v := k.EvalSeq(seqs[i], seqs[j])
-				g[i][j] = v
-				g[j][i] = v
-			}
-			cells += int64(n - i)
 		}
-		seqGramCells.Add(cells)
-	})
-	return g
+		out[n] = buf[start:len(buf):len(buf)]
+	}
+	return out
+}
+
+// vocab interns tokens and n-grams to int32 IDs shared by every spectrum
+// kernel in the process. An n-gram is keyed by the ID of its (n-1)-gram
+// prefix and the ID of its last token, so interning never builds an
+// n-gram string. Entries are never evicted: the table holds one entry per
+// distinct token and per distinct n-gram seen, so it is bounded by the
+// n-grams (n ≤ the largest MaxN in use) the token alphabet forms. The ISA
+// token streams have a few hundred distinct tokens.
+var vocab = struct {
+	sync.Mutex
+	tokens map[string]int32
+	grams  map[uint64]int32
+}{tokens: map[string]int32{}, grams: map[uint64]int32{}}
+
+// internGrams returns the IDs of seq's n-grams in position order, one
+// slice per n = 1..maxN, and their total number.
+func internGrams(seq []string, maxN int) ([][]int32, int) {
+	total := 0
+	for n := 0; n < maxN && n < len(seq); n++ {
+		total += len(seq) - n
+	}
+	ids := make([][]int32, maxN)
+	buf := make([]int32, total)
+	vocab.Lock()
+	defer vocab.Unlock()
+	for n := range ids {
+		m := max(len(seq)-n, 0)
+		ids[n], buf = buf[:m:m], buf[m:]
+		for i := range ids[n] {
+			if n == 0 {
+				ids[n][i] = intern(vocab.tokens, seq[i])
+			} else {
+				ids[n][i] = intern(vocab.grams, uint64(uint32(ids[n-1][i]))<<32|uint64(uint32(ids[0][i+n])))
+			}
+		}
+	}
+	return ids, total
+}
+
+// intern returns key's ID in m, handing out the next unused ID on first
+// sight. The caller holds the vocab lock.
+func intern[K comparable](m map[K]int32, key K) int32 {
+	id, ok := m[key]
+	if !ok {
+		id = int32(len(vocab.tokens) + len(vocab.grams))
+		m[key] = id
+	}
+	return id
 }
 
 // Vocabulary returns the sorted distinct tokens across sequences; useful for
@@ -273,14 +284,7 @@ func NGramFeatures(seqs [][]string, n int) (x [][]float64, names []string) {
 	sort.Strings(keys)
 	names = make([]string, len(keys))
 	for i, k := range keys {
-		name := ""
-		for j, tok := range splitNulls(k) {
-			if j > 0 {
-				name += "·"
-			}
-			name += tok
-		}
-		names[i] = name
+		names[i] = strings.ReplaceAll(strings.TrimSuffix(k, "\x00"), "\x00", "·")
 	}
 	x = make([][]float64, len(seqs))
 	for i := range seqs {
@@ -291,19 +295,4 @@ func NGramFeatures(seqs [][]string, n int) (x [][]float64, names []string) {
 		x[i] = row
 	}
 	return x, names
-}
-
-func splitNulls(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == 0 {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

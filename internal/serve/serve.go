@@ -522,55 +522,71 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "no instances")
 		return
 	}
-	dim := sm.scorer.Dim()
-	for i, inst := range req.Instances {
-		if len(inst) < dim {
-			httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("instance %d has %d features, model %q needs %d", i, len(inst), name, dim))
-			return
-		}
-	}
-
-	// Enqueue every instance, then collect in order. Instances from one
-	// request batch with each other and with concurrent requests.
-	chans := make([]<-chan batchResponse, len(req.Instances))
-	for i, inst := range req.Instances {
-		ch, err := sm.batcher.submit(ctx, inst)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				s.deadline(w, err)
+	// A hot-swap can close sm's queue between the lookup and the enqueue.
+	// The server is not draining then, so the whole request restarts on
+	// the version now live; rows already queued on the old one are
+	// answered into buffered channels and dropped, so a response never
+	// mixes versions.
+	for {
+		dim := sm.scorer.Dim()
+		for i, inst := range req.Instances {
+			if len(inst) < dim {
+				httpError(w, http.StatusBadRequest,
+					fmt.Sprintf("instance %d has %d features, model %q needs %d", i, len(inst), name, dim))
 				return
 			}
+		}
+		preds, err := scoreInstances(ctx, sm, req.Instances)
+		if errors.Is(err, ErrDraining) && !s.draining.Load() {
+			if next := s.model(name); next != nil && next != sm {
+				sm = next
+				continue
+			}
+		}
+		switch {
+		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+			s.deadline(w, err)
+		case errors.Is(err, ErrDraining):
 			httpError(w, http.StatusServiceUnavailable, err.Error())
-			return
+		case err != nil:
+			httpError(w, http.StatusInternalServerError, err.Error())
+		default:
+			instances.Add(int64(len(preds)))
+			writeJSON(w, http.StatusOK, predictResponse{
+				Model: name, Kind: string(sm.artifact.Envelope.Kind), Predictions: preds,
+			})
+		}
+		return
+	}
+}
+
+// scoreInstances enqueues every instance on sm's batcher, then collects
+// the predictions in order. Instances from one request batch with each
+// other and with concurrent requests.
+func scoreInstances(ctx context.Context, sm *servedModel, rows [][]float64) ([]float64, error) {
+	chans := make([]<-chan batchResponse, len(rows))
+	for i, inst := range rows {
+		ch, err := sm.batcher.submit(ctx, inst)
+		if err != nil {
+			return nil, err
 		}
 		chans[i] = ch
 	}
 	preds := make([]float64, len(chans))
 	for i, ch := range chans {
-		var resp batchResponse
 		select {
-		case resp = <-ch:
+		case resp := <-ch:
+			if resp.err != nil {
+				return nil, resp.err
+			}
+			preds[i] = resp.value
 		case <-ctx.Done():
 			// Abandon the wait: every pending reply channel is buffered,
 			// so the batcher never blocks delivering to a gone caller.
-			s.deadline(w, ctx.Err())
-			return
+			return nil, ctx.Err()
 		}
-		if resp.err != nil {
-			if errors.Is(resp.err, context.DeadlineExceeded) || errors.Is(resp.err, context.Canceled) {
-				s.deadline(w, resp.err)
-				return
-			}
-			httpError(w, http.StatusInternalServerError, resp.err.Error())
-			return
-		}
-		preds[i] = resp.value
 	}
-	instances.Add(int64(len(preds)))
-	writeJSON(w, http.StatusOK, predictResponse{
-		Model: name, Kind: string(sm.artifact.Envelope.Kind), Predictions: preds,
-	})
+	return preds, nil
 }
 
 // deadline answers 504 for a request whose deadline expired in the
