@@ -19,6 +19,7 @@ import (
 	"repro/internal/apps/costred"
 	"repro/internal/apps/dstc"
 	"repro/internal/apps/returns"
+	"repro/internal/apps/survey"
 	"repro/internal/apps/template"
 	"repro/internal/apps/testsel"
 	"repro/internal/apps/varpred"
@@ -102,6 +103,16 @@ func BenchmarkFig12Escapes(b *testing.B) {
 func BenchmarkSec2Regressors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := repro.Sec2(int64(i), benchScale(120, 250)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Section 2.4: SMOTE + random forest against feature selection + outlier
+// model on an extremely imbalanced lot.
+func BenchmarkImbalanceStudy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := survey.ImbalanceStudy(int64(i)+1, benchScale(6000, 15000)); err != nil {
 			b.Fatal(err)
 		}
 	}

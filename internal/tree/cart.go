@@ -5,10 +5,11 @@
 package tree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/linalg"
@@ -43,7 +44,8 @@ type Tree struct {
 	Config Config
 }
 
-// Fit grows a tree on d.
+// Fit grows a tree on d. Every feature value, and every label of a
+// regression tree, must be finite.
 func Fit(d *dataset.Dataset, cfg Config) (*Tree, error) {
 	if d.Len() == 0 {
 		return nil, errors.New("tree: empty dataset")
@@ -54,199 +56,295 @@ func Fit(d *dataset.Dataset, cfg Config) (*Tree, error) {
 	if cfg.MinLeaf <= 0 {
 		cfg.MinLeaf = 1
 	}
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
+	g, err := newGrower(d, cfg.Regression)
+	if err != nil {
+		return nil, err
 	}
-	t := &Tree{Config: cfg}
-	t.Root = t.grow(d, idx, 0)
-	return t, nil
+	rows := make([]int32, d.Len())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return g.fit(cfg, rows), nil
 }
 
-func (t *Tree) leafValue(d *dataset.Dataset, idx []int) float64 {
-	if t.Config.Regression {
-		s := 0.0
-		for _, i := range idx {
-			s += d.Y[i]
-		}
-		return s / float64(len(idx))
-	}
-	counts := map[int]int{}
-	for _, i := range idx {
-		counts[int(d.Y[i])]++
-	}
-	best, bestN := 0, -1
-	for c, n := range counts {
-		if n > bestN || (n == bestN && c < best) {
-			best, bestN = c, n
-		}
-	}
-	return float64(best)
+// grower induces trees over presorted columns. Each feature is sorted
+// once; a node owns the same segment [lo,hi) of every feature's order
+// array, and a split stable-partitions those segments so both children
+// stay sorted without another sort.
+type grower struct {
+	cfg    Config
+	vals   [][]float64 // vals[f][row]
+	y      []float64   // regression labels by row
+	cls    []int32     // class index by row; indexes labels
+	labels []float64   // distinct class labels, ascending
+	order  [][]int32   // order[f]: rows sorted by (vals[f][row], row)
+	all    []int       // every feature index, the candidates when not sampling
+	goLeft []bool      // split side by row, set while partitioning
+	buf    []int32     // partition scratch
+	cnt    []float64   // class counts of the current node
+	lCnt   []float64   // class counts left of the sweep cut
+	rCnt   []float64   // class counts right of the sweep cut
 }
 
-func (t *Tree) impurity(d *dataset.Dataset, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
+// newGrower copies d into columns, presorts every column and compacts
+// class labels. It rejects non-finite features (and regression labels),
+// which would split on NaN thresholds and leave the sort without a strict
+// order.
+func newGrower(d *dataset.Dataset, regression bool) (*grower, error) {
+	n, dim := d.Len(), d.Dim()
+	if len(d.Y) != n {
+		return nil, fmt.Errorf("tree: %d rows but %d labels", n, len(d.Y))
 	}
-	if t.Config.Regression {
-		mean := 0.0
-		for _, i := range idx {
-			mean += d.Y[i]
+	g := &grower{
+		vals:   make([][]float64, dim),
+		order:  make([][]int32, dim),
+		all:    make([]int, dim),
+		goLeft: make([]bool, n),
+		buf:    make([]int32, n),
+	}
+	type pair struct {
+		v float64
+		r int32
+	}
+	pairs := make([]pair, n)
+	for f := range dim {
+		g.all[f] = f
+		col := d.Col(f)
+		for r, v := range col {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("tree: non-finite feature %d value %v in row %d", f, v, r)
+			}
+			pairs[r] = pair{v, int32(r)}
 		}
-		mean /= float64(len(idx))
-		s := 0.0
-		for _, i := range idx {
-			dd := d.Y[i] - mean
-			s += dd * dd
+		slices.SortFunc(pairs, func(a, b pair) int {
+			if a.v != b.v {
+				return cmp.Compare(a.v, b.v)
+			}
+			return cmp.Compare(a.r, b.r)
+		})
+		ord := make([]int32, n)
+		for k, p := range pairs {
+			ord[k] = p.r
 		}
-		return s / float64(len(idx))
+		g.vals[f], g.order[f] = col, ord
 	}
-	counts := map[int]int{}
-	for _, i := range idx {
-		counts[int(d.Y[i])]++
+	if regression {
+		for r, v := range d.Y {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("tree: non-finite label %v in row %d", v, r)
+			}
+		}
+		g.y = d.Y
+		return g, nil
 	}
-	g := 1.0
-	n := float64(len(idx))
-	for _, c := range counts {
-		p := float64(c) / n
-		g -= p * p
+	keys := make([]int, n)
+	for r, v := range d.Y {
+		keys[r] = int(v)
 	}
-	return g
+	distinct := slices.Clone(keys)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	g.cls = make([]int32, n)
+	for r, k := range keys {
+		ci, _ := slices.BinarySearch(distinct, k)
+		g.cls[r] = int32(ci)
+	}
+	g.labels = make([]float64, len(distinct))
+	for ci, k := range distinct {
+		g.labels[ci] = float64(k)
+	}
+	g.cnt = make([]float64, len(distinct))
+	g.lCnt = make([]float64, len(distinct))
+	g.rCnt = make([]float64, len(distinct))
+	return g, nil
 }
 
-func (t *Tree) grow(d *dataset.Dataset, idx []int, depth int) *Node {
-	node := &Node{N: len(idx)}
-	imp := t.impurity(d, idx)
-	if depth >= t.Config.MaxDepth || len(idx) < 2*t.Config.MinLeaf || imp < 1e-12 {
-		node.Leaf = true
-		node.Value = t.leafValue(d, idx)
+// fit grows one tree over the rows g.order currently holds. rows lists
+// the same rows in training-set order; the root's regression sums run in
+// that order, as each child's run in its parent's split-feature order.
+func (g *grower) fit(cfg Config, rows []int32) *Tree {
+	g.cfg = cfg
+	return &Tree{Root: g.grow(0, len(rows), rows, 0), Config: cfg}
+}
+
+func (g *grower) grow(lo, hi int, rows []int32, depth int) *Node {
+	node := &Node{N: hi - lo}
+	imp, value := g.stats(rows)
+	if depth >= g.cfg.MaxDepth || hi-lo < 2*g.cfg.MinLeaf || imp < 1e-12 {
+		node.Leaf, node.Value = true, value
 		return node
 	}
-
-	feats := t.candidateFeatures(d.Dim())
-	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
-	var bestLeft, bestRight []int
-	for _, f := range feats {
-		thr, gain, left, right := t.bestSplitOnFeature(d, idx, f, imp)
-		if gain > bestGain {
-			bestFeat, bestThr, bestGain = f, thr, gain
-			bestLeft, bestRight = left, right
-		}
-	}
-	if bestFeat < 0 {
-		node.Leaf = true
-		node.Value = t.leafValue(d, idx)
+	feat, cut := g.bestSplit(lo, hi, imp)
+	if feat < 0 {
+		node.Leaf, node.Value = true, value
 		return node
 	}
-	node.Feature = bestFeat
-	node.Threshold = bestThr
-	node.Left = t.grow(d, bestLeft, depth+1)
-	node.Right = t.grow(d, bestRight, depth+1)
+	seg, col := g.order[feat][lo:hi], g.vals[feat]
+	node.Feature = feat
+	node.Threshold = (col[seg[cut-1]] + col[seg[cut]]) / 2
+	if depth+1 < g.cfg.MaxDepth { // children at MaxDepth are leaves and never read order
+		g.partition(feat, lo, lo+cut, hi)
+	}
+	node.Left = g.grow(lo, lo+cut, seg[:cut], depth+1)
+	node.Right = g.grow(lo+cut, hi, seg[cut:], depth+1)
 	return node
 }
 
-func (t *Tree) candidateFeatures(dim int) []int {
-	if t.Config.MaxFeatures <= 0 || t.Config.MaxFeatures >= dim || t.Config.seedFeats == nil {
-		all := make([]int, dim)
-		for i := range all {
-			all[i] = i
+// stats returns a node's impurity and leaf value: Gini and the majority
+// class (ties to the smallest label), or variance and mean.
+func (g *grower) stats(rows []int32) (imp, value float64) {
+	n := float64(len(rows))
+	if g.cfg.Regression {
+		mean := 0.0
+		for _, r := range rows {
+			mean += g.y[r]
 		}
-		return all
+		mean /= n
+		s := 0.0
+		for _, r := range rows {
+			dd := g.y[r] - mean
+			s += dd * dd
+		}
+		return s / n, mean
 	}
-	perm := t.Config.seedFeats(dim)
-	return perm[:t.Config.MaxFeatures]
+	clear(g.cnt)
+	for _, r := range rows {
+		g.cnt[g.cls[r]]++
+	}
+	imp, best := 1.0, 0
+	for ci, c := range g.cnt {
+		p := c / n
+		imp -= p * p
+		if c > g.cnt[best] {
+			best = ci
+		}
+	}
+	return imp, g.labels[best]
 }
 
-// bestSplitOnFeature scans thresholds between consecutive sorted values,
-// maintaining split statistics incrementally so the sweep is O(n log n).
-func (t *Tree) bestSplitOnFeature(d *dataset.Dataset, idx []int, f int, parentImp float64) (thr, gain float64, left, right []int) {
-	type pv struct {
-		v float64
-		i int
+// bestSplit sweeps every candidate feature's sorted segment and returns
+// the feature and cut position (rows left of the cut go left) of the
+// largest gain, or feat -1 when no split gains more than 1e-12. stats
+// must have filled g.cnt for this node.
+func (g *grower) bestSplit(lo, hi int, parentImp float64) (feat, cut int) {
+	feats := g.all
+	if k := g.cfg.MaxFeatures; k > 0 && k < len(g.all) && g.cfg.seedFeats != nil {
+		feats = g.cfg.seedFeats(len(g.all))[:k]
 	}
-	vals := make([]pv, len(idx))
-	for k, i := range idx {
-		vals[k] = pv{d.X.At(i, f), i}
+	feat, bestGain := -1, 0.0
+	for _, f := range feats {
+		var c int
+		var gain float64
+		if g.cfg.Regression {
+			c, gain = g.sweepVariance(f, lo, hi, parentImp)
+		} else {
+			c, gain = g.sweepGini(f, lo, hi, parentImp)
+		}
+		if c >= 0 && gain > 1e-12 && gain > bestGain {
+			feat, cut, bestGain = f, c, gain
+		}
 	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-	n := len(vals)
+	return feat, cut
+}
 
-	bestGain := 0.0
-	bestCut := -1
-	if t.Config.Regression {
-		// Prefix sums for O(1) variance on both sides.
-		var lSum, lSq float64
-		var rSum, rSq float64
-		for _, p := range vals {
-			y := d.Y[p.i]
-			rSum += y
-			rSq += y * y
+// sweepGini scans the cuts between distinct values of feature f,
+// updating Σcount² incrementally; counts are integers, so every sum is
+// exact and the result does not depend on the order of tied rows.
+func (g *grower) sweepGini(f, lo, hi int, parentImp float64) (bestCut int, bestGain float64) {
+	seg, col := g.order[f][lo:hi], g.vals[f]
+	n, minLeaf := len(seg), g.cfg.MinLeaf
+	clear(g.lCnt)
+	copy(g.rCnt, g.cnt)
+	var lSq, rSq float64 // Σ count²
+	for _, c := range g.rCnt {
+		rSq += c * c
+	}
+	bestCut = -1
+	prev := col[seg[0]]
+	for c := 1; c < n; c++ {
+		ci := g.cls[seg[c-1]]
+		lSq += 2*g.lCnt[ci] + 1
+		g.lCnt[ci]++
+		rSq -= 2*g.rCnt[ci] - 1
+		g.rCnt[ci]--
+		v := col[seg[c]]
+		tie := v == prev
+		prev = v
+		if c < minLeaf || n-c < minLeaf || tie {
+			continue
 		}
-		for c := 1; c < n; c++ {
-			y := d.Y[vals[c-1].i]
-			lSum += y
-			lSq += y * y
-			rSum -= y
-			rSq -= y * y
-			if c < t.Config.MinLeaf || n-c < t.Config.MinLeaf || vals[c].v == vals[c-1].v {
-				continue
-			}
-			ln, rn := float64(c), float64(n-c)
-			lVar := lSq/ln - (lSum/ln)*(lSum/ln)
-			rVar := rSq/rn - (rSum/rn)*(rSum/rn)
-			g := parentImp - (ln*lVar+rn*rVar)/float64(n)
-			if g > bestGain {
-				bestGain, bestCut = g, c
-			}
-		}
-	} else {
-		// Compact class indexing, then incremental Gini via Σcount².
-		classOf := map[int]int{}
-		for _, p := range vals {
-			c := int(d.Y[p.i])
-			if _, ok := classOf[c]; !ok {
-				classOf[c] = len(classOf)
-			}
-		}
-		lCnt := make([]float64, len(classOf))
-		rCnt := make([]float64, len(classOf))
-		var lSq, rSq float64 // Σ count²
-		for _, p := range vals {
-			ci := classOf[int(d.Y[p.i])]
-			rSq += 2*rCnt[ci] + 1
-			rCnt[ci]++
-		}
-		for c := 1; c < n; c++ {
-			ci := classOf[int(d.Y[vals[c-1].i])]
-			lSq += 2*lCnt[ci] + 1
-			lCnt[ci]++
-			rSq -= 2*rCnt[ci] - 1
-			rCnt[ci]--
-			if c < t.Config.MinLeaf || n-c < t.Config.MinLeaf || vals[c].v == vals[c-1].v {
-				continue
-			}
-			ln, rn := float64(c), float64(n-c)
-			lGini := 1 - lSq/(ln*ln)
-			rGini := 1 - rSq/(rn*rn)
-			g := parentImp - (ln*lGini+rn*rGini)/float64(n)
-			if g > bestGain {
-				bestGain, bestCut = g, c
-			}
+		ln, rn := float64(c), float64(n-c)
+		lGini := 1 - lSq/(ln*ln)
+		rGini := 1 - rSq/(rn*rn)
+		if gain := parentImp - (ln*lGini+rn*rGini)/float64(n); gain > bestGain {
+			bestGain, bestCut = gain, c
 		}
 	}
-	if bestCut < 0 || bestGain <= 1e-12 {
-		return 0, 0, nil, nil
+	return bestCut, bestGain
+}
+
+// sweepVariance scans the cuts between distinct values of feature f with
+// prefix sums, so each side's variance is O(1).
+func (g *grower) sweepVariance(f, lo, hi int, parentImp float64) (bestCut int, bestGain float64) {
+	seg, col := g.order[f][lo:hi], g.vals[f]
+	n, minLeaf := len(seg), g.cfg.MinLeaf
+	var lSum, lSq, rSum, rSq float64
+	for _, r := range seg {
+		y := g.y[r]
+		rSum += y
+		rSq += y * y
 	}
-	thr = (vals[bestCut-1].v + vals[bestCut].v) / 2
-	left = make([]int, bestCut)
-	right = make([]int, n-bestCut)
-	for k := 0; k < bestCut; k++ {
-		left[k] = vals[k].i
+	bestCut = -1
+	prev := col[seg[0]]
+	for c := 1; c < n; c++ {
+		y := g.y[seg[c-1]]
+		lSum += y
+		lSq += y * y
+		rSum -= y
+		rSq -= y * y
+		v := col[seg[c]]
+		tie := v == prev
+		prev = v
+		if c < minLeaf || n-c < minLeaf || tie {
+			continue
+		}
+		ln, rn := float64(c), float64(n-c)
+		lVar := lSq/ln - (lSum/ln)*(lSum/ln)
+		rVar := rSq/rn - (rSum/rn)*(rSum/rn)
+		if gain := parentImp - (ln*lVar+rn*rVar)/float64(n); gain > bestGain {
+			bestGain, bestCut = gain, c
+		}
 	}
-	for k := bestCut; k < n; k++ {
-		right[k-bestCut] = vals[k].i
+	return bestCut, bestGain
+}
+
+// partition splits segment [lo,hi) of every order array at mid: the rows
+// of order[feat][lo:mid] go left. order[feat] is already split; every
+// other segment is stable-partitioned through g.buf, so it stays sorted.
+func (g *grower) partition(feat, lo, mid, hi int) {
+	split := g.order[feat]
+	for _, r := range split[lo:mid] {
+		g.goLeft[r] = true
 	}
-	return thr, bestGain, left, right
+	for _, r := range split[mid:hi] {
+		g.goLeft[r] = false
+	}
+	for f, ord := range g.order {
+		if f == feat {
+			continue
+		}
+		seg, w, nb := ord[lo:hi], 0, 0
+		for _, r := range seg {
+			if g.goLeft[r] {
+				seg[w] = r
+				w++
+			} else {
+				g.buf[nb] = r
+				nb++
+			}
+		}
+		copy(seg[w:], g.buf[:nb])
+	}
 }
 
 // Predict routes x to a leaf and returns its value.

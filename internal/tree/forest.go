@@ -24,7 +24,7 @@ type ForestConfig struct {
 }
 
 // FitForest grows a random forest with bootstrap sampling and per-split
-// random feature subsets.
+// random feature subsets. Inputs must be finite, as for Fit.
 func FitForest(rng *rand.Rand, d *dataset.Dataset, cfg ForestConfig) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, errors.New("tree: empty dataset")
@@ -48,27 +48,46 @@ func FitForest(rng *rand.Rand, d *dataset.Dataset, cfg ForestConfig) (*Forest, e
 			cfg.MaxFeatures = 1
 		}
 	}
-	f := &Forest{Regression: cfg.Regression}
+	g, err := newGrower(d, cfg.Regression)
+	if err != nil {
+		return nil, err
+	}
+	// The parent's presorted order is the only sort. A bootstrap tree's
+	// rows are parent rows, each repeated once per draw, so its order is
+	// one counting pass over the parent's: copies are indistinguishable
+	// and sit together, in the place their parent row had.
+	sorted := g.order
+	g.order = make([][]int32, len(sorted))
 	n := d.Len()
+	for j := range g.order {
+		g.order[j] = make([]int32, n)
+	}
+	boot := make([]int32, n)
+	draws := make([]int32, n)
+	f := &Forest{Regression: cfg.Regression}
 	for t := 0; t < cfg.NTrees; t++ {
-		// Bootstrap sample.
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = rng.Intn(n)
+		clear(draws)
+		for i := range boot {
+			r := rng.Intn(n)
+			boot[i] = int32(r)
+			draws[r]++
 		}
-		boot := d.Subset(idx)
-		tcfg := Config{
+		for j, src := range sorted {
+			dst, w := g.order[j], 0
+			for _, r := range src {
+				for k := draws[r]; k > 0; k-- {
+					dst[w] = r
+					w++
+				}
+			}
+		}
+		f.Trees = append(f.Trees, g.fit(Config{
 			MaxDepth:    cfg.MaxDepth,
 			MinLeaf:     cfg.MinLeaf,
 			Regression:  cfg.Regression,
 			MaxFeatures: cfg.MaxFeatures,
 			seedFeats:   rng.Perm,
-		}
-		tr, err := Fit(boot, tcfg)
-		if err != nil {
-			return nil, err
-		}
-		f.Trees = append(f.Trees, tr)
+		}, boot))
 	}
 	return f, nil
 }

@@ -184,12 +184,86 @@ func TestForestImportanceFindsInformativeFeatures(t *testing.T) {
 	}
 }
 
+func TestFitRejectsBadInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := dataset.TwoGaussians(rng, 25, 3, 2, 1)
+		d.X.Set(7, 1, bad)
+		if tr, err := Fit(d, Config{}); err == nil {
+			t.Fatalf("Fit accepted feature %v (tree valid: %v)", bad, tr.Validate(3))
+		}
+		if _, err := FitForest(rng, d, ForestConfig{NTrees: 3}); err == nil {
+			t.Fatalf("FitForest accepted feature %v", bad)
+		}
+		r := dataset.Friedman1(rng, 30, 5, 0.5)
+		r.Y[4] = bad
+		if _, err := Fit(r, Config{Regression: true}); err == nil {
+			t.Fatalf("regression Fit accepted label %v", bad)
+		}
+		if _, err := FitForest(rng, r, ForestConfig{NTrees: 3, Regression: true}); err == nil {
+			t.Fatalf("regression FitForest accepted label %v", bad)
+		}
+	}
+	unlabelled := dataset.TwoGaussians(rng, 5, 2, 2, 1)
+	unlabelled.Y = nil
+	if _, err := Fit(unlabelled, Config{}); err == nil {
+		t.Fatal("Fit accepted a dataset without labels")
+	}
+}
+
+// TestGiniSumsInLabelOrder pins the node impurity to the ascending-label
+// formula. The counts {-1:1, 2:1, 5:7} round differently when the terms
+// are subtracted in another order, so summing them in map order (as an
+// earlier version did) gave a value that changed between runs.
+func TestGiniSumsInLabelOrder(t *testing.T) {
+	p := func(c float64) float64 { return (c / 9) * (c / 9) }
+	want := 1 - p(1) - p(1) - p(7)
+	if other := 1 - p(7) - p(1) - p(1); other == want {
+		t.Fatal("counts no longer discriminate summation order")
+	}
+	y := []float64{5, 5, -1, 5, 5, 2, 5, 5, 5}
+	rows := make([][]float64, len(y))
+	for i := range rows {
+		rows[i] = []float64{float64(i)}
+	}
+	rng := rand.New(rand.NewSource(10))
+	for rep := 0; rep < 100; rep++ {
+		rng.Shuffle(len(y), func(i, j int) { y[i], y[j] = y[j], y[i] })
+		g, err := newGrower(dataset.FromRows(rows, y), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.cfg = Config{MinLeaf: 1, MaxDepth: 1}
+		imp, value := g.stats(g.order[0])
+		if math.Float64bits(imp) != math.Float64bits(want) || value != 5 {
+			t.Fatalf("rep %d: impurity %v value %v, want %v and 5", rep, imp, value, want)
+		}
+	}
+}
+
 func BenchmarkTreeFit500x8(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	d := dataset.TwoGaussians(rng, 250, 8, 2, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Fit(d, Config{MaxDepth: 8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkForestFit grows the Section 2.4 forest shape — 30 trees of
+// depth 10 over a 2-class, 12-feature set — on overlapping classes, so
+// trees grow to full depth. -short drops to 1000 rows for CI.
+func BenchmarkForestFit(b *testing.B) {
+	perClass := 5000
+	if testing.Short() {
+		perClass = 500
+	}
+	d := dataset.TwoGaussians(rand.New(rand.NewSource(14)), perClass, 12, 1, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitForest(rand.New(rand.NewSource(int64(i))), d, ForestConfig{NTrees: 30, MaxDepth: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
