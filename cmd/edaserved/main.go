@@ -6,9 +6,9 @@
 // Usage:
 //
 //	edaserved [-addr :8080] [-model file]... [-model-dir dir]
-//	          [-max-batch N] [-max-wait d] [-max-inflight N]
-//	          [-cache-rows N] [-workers N] [-drain-timeout d]
-//	          [-request-timeout d] [-chaos-seed N] [-chaos-err p]
+//	          [-max-batch N] [-max-inflight N] [-cache-rows N]
+//	          [-workers N] [-drain-timeout d] [-request-timeout d]
+//	          [-chaos-seed N] [-chaos-err p]
 //	          [-chaos-latency-rate p] [-chaos-latency d] [-chaos-corrupt p]
 //
 // Train artifacts with `edamine -save-model DIR models`, then:
@@ -52,7 +52,6 @@ var (
 	addr         = flag.String("addr", ":8080", "listen address")
 	modelDir     = flag.String("model-dir", "", "load every *.model.json artifact in this directory at boot")
 	maxBatch     = flag.Int("max-batch", 16, "micro-batch size cap per model (1 disables batching)")
-	maxWait      = flag.Duration("max-wait", 2*time.Millisecond, "how long an incomplete batch waits for more requests")
 	maxInflight  = flag.Int("max-inflight", 256, "concurrent predict requests before 429 backpressure")
 	cacheRows    = flag.Int("cache-rows", 1024, "kernel-row LRU capacity per kernel model (0 disables)")
 	workers      = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = REPRO_WORKERS env or GOMAXPROCS)")
@@ -107,7 +106,6 @@ func main() {
 
 	srv := serve.New(serve.Config{
 		MaxBatch:       *maxBatch,
-		MaxWait:        *maxWait,
 		MaxInFlight:    *maxInflight,
 		CacheRows:      *cacheRows,
 		RequestTimeout: *reqTimeout,

@@ -156,13 +156,19 @@ func TestVecLease(t *testing.T) {
 // TestSteadyStateHits: after a warm-up lease/return cycle, repeated
 // same-shape leases are served from the pool, not the allocator.
 func TestSteadyStateHits(t *testing.T) {
+	cycles, floor := int64(8), int64(6) // GC may steal a buffer or two; near-all must hit
+	if raceEnabled {
+		// sync.Pool drops a quarter of Puts under -race: expect about
+		// three in four to hit, and fail a pool that never does.
+		cycles, floor = 256, 128
+	}
 	Put(Get(13, 11)) // warm the arena
 	h0, _, _ := Stats()
-	for i := 0; i < 8; i++ {
+	for i := int64(0); i < cycles; i++ {
 		Put(Get(13, 11))
 	}
 	h1, _, _ := Stats()
-	if h1-h0 < 6 { // GC may steal a buffer or two; near-all must hit
-		t.Fatalf("steady-state leases mostly missed the pool: %d hits in 8 cycles", h1-h0)
+	if h1-h0 < floor {
+		t.Fatalf("steady-state leases mostly missed the pool: %d hits in %d cycles", h1-h0, cycles)
 	}
 }

@@ -49,10 +49,13 @@ type batchResponse struct {
 
 // batcher is the micro-batching queue in front of one served model. A
 // single goroutine drains the queue: it blocks for the first request,
-// then gathers more until the batch is full (maxBatch) or the oldest
-// request has waited maxWait, scores the whole batch through one
-// scoreFunc call — amortizing kernel/Gram evaluation across concurrent
-// requests — and delivers each result to its caller.
+// takes whatever else is already queued (up to maxBatch) without
+// waiting, scores the whole batch through one scoreFunc call —
+// amortizing kernel/Gram evaluation across concurrent requests — and
+// delivers each result to its caller. The loop is work-conserving: the
+// scorer is never idle while a request waits. Requests that arrive
+// during a scoring call form the next batch, so batch size follows
+// arrival rate × scoring time with no timer to tune.
 //
 // Batching changes only the grouping of work, never the arithmetic:
 // scoreFunc is bit-identical per row regardless of batch composition,
@@ -62,7 +65,6 @@ type batcher struct {
 	score    scoreFunc
 	dim      int
 	maxBatch int
-	maxWait  time.Duration
 	queue    chan *batchRequest
 
 	// baseCtx is the root of every batch's scoring context; cancel is
@@ -80,19 +82,15 @@ type batcher struct {
 	done   chan struct{}
 }
 
-func newBatcher(score scoreFunc, dim, maxBatch int, maxWait time.Duration) *batcher {
+func newBatcher(score scoreFunc, dim, maxBatch int) *batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
-	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &batcher{
 		score:    score,
 		dim:      dim,
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		queue:    make(chan *batchRequest, 4*maxBatch),
 		baseCtx:  ctx,
 		cancel:   cancel,
@@ -150,31 +148,15 @@ func (b *batcher) run() {
 	}
 }
 
-// gather collects requests after first until the batch is full or the
-// wait budget (measured from first's arrival) expires.
+// gather returns first plus whatever is already queued, up to
+// maxBatch, without waiting for more.
 func (b *batcher) gather(first *batchRequest) []*batchRequest {
 	batch := []*batchRequest{first}
-	if b.maxBatch == 1 {
-		return batch
-	}
-	deadline := time.NewTimer(b.maxWait)
-	defer deadline.Stop()
 	for len(batch) < b.maxBatch {
 		select {
 		case req := <-b.queue:
 			batch = append(batch, req)
-		case <-deadline.C:
-			return batch
-		case <-b.stop:
-			// Draining: take what is immediately available, don't wait.
-			for len(batch) < b.maxBatch {
-				select {
-				case req := <-b.queue:
-					batch = append(batch, req)
-				default:
-					return batch
-				}
-			}
+		default:
 			return batch
 		}
 	}

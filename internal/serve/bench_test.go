@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/apps/modelzoo"
 	"repro/internal/fault"
@@ -44,7 +43,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		clients := clients
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			s := New(Config{MaxBatch: 16, MaxWait: 500 * time.Microsecond, CacheRows: 0})
+			s := New(Config{MaxBatch: 16, CacheRows: 0})
 			defer s.Close()
 			a, err := model.Encode(svc.Model, model.Meta{Name: "svc"})
 			if err != nil {
@@ -132,7 +131,7 @@ func BenchmarkServeThroughputFaultyBackend(b *testing.B) {
 	defer fault.Deactivate()
 
 	const clients = 8
-	s := New(Config{MaxBatch: 16, MaxWait: 500 * time.Microsecond})
+	s := New(Config{MaxBatch: 16})
 	defer s.Close()
 	a, err := model.Encode(svc.Model, model.Meta{Name: "svc"})
 	if err != nil {

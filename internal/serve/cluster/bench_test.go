@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/apps/modelzoo"
 	"repro/internal/model"
@@ -50,7 +49,7 @@ func BenchmarkClusterThroughput(b *testing.B) {
 				clients := clients
 				b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 					lc, err := NewLocal(replicas,
-						serve.Config{MaxBatch: 16, MaxWait: 500 * time.Microsecond, CacheRows: 0},
+						serve.Config{MaxBatch: 16, CacheRows: 0},
 						Config{Replication: replicas, MaxInFlight: 4 * clients})
 					if err != nil {
 						b.Fatal(err)

@@ -35,7 +35,7 @@ func TestHotSwapRestartsOnLiveVersion(t *testing.T) {
 		}
 	}
 
-	s := New(Config{MaxBatch: 4, MaxWait: 100 * time.Microsecond})
+	s := New(Config{MaxBatch: 4})
 	defer s.Close()
 	if err := s.Load("", versions[0]); err != nil {
 		t.Fatal(err)

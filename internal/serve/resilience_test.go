@@ -250,7 +250,7 @@ func TestCloseWithinAbandonsTrueStall(t *testing.T) {
 		<-release // a true stall: no ctx arm
 		return nil, errors.New("released")
 	}
-	b := newBatcher(score, 1, 1, time.Millisecond)
+	b := newBatcher(score, 1, 1)
 	ch, err := b.submit(context.Background(), []float64{1})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestCloseWithinDrainsCleanQueue(t *testing.T) {
 		}
 		return out, nil
 	}
-	b := newBatcher(score, 1, 4, time.Millisecond)
+	b := newBatcher(score, 1, 4)
 	var chans []<-chan batchResponse
 	for i := 0; i < 16; i++ {
 		ch, err := b.submit(context.Background(), []float64{float64(i)})
@@ -310,7 +310,7 @@ func TestSubmitHonorsContext(t *testing.T) {
 	cancel()
 	b := newBatcher(func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
 		return make([]float64, x.Rows), nil
-	}, 1, 1, time.Millisecond)
+	}, 1, 1)
 	defer b.close()
 	if _, err := b.submit(ctx, []float64{1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("submit with canceled ctx = %v, want context.Canceled", err)

@@ -11,8 +11,9 @@
 //     running fleet without a restart.
 //   - A micro-batching queue per model (see batcher.go) gathers
 //     concurrent single-sample requests into one scoring call, which
-//     amortizes kernel/Gram evaluation through internal/parallel. Knobs:
-//     max batch size and max queue wait.
+//     amortizes kernel/Gram evaluation through internal/parallel. It
+//     never waits for a batch to fill: whatever queued while the
+//     previous batch was scored is the next batch. Knob: max batch size.
 //   - A bounded kernel-row LRU per kernel model (see cache.go) reuses
 //     k(x, SV_*) rows across repeated inputs.
 //   - Bounded in-flight concurrency with priority-aware load shedding:
@@ -93,8 +94,8 @@ type Config struct {
 	// MaxBatch is the micro-batch size cap per model; 1 disables
 	// batching. Default 16.
 	MaxBatch int
-	// MaxWait is how long the batcher holds an incomplete batch open
-	// waiting for more requests. Default 2ms.
+	// Deprecated: MaxWait is ignored. The batcher never holds a batch
+	// open; it scores whatever is queued as soon as the scorer is idle.
 	MaxWait time.Duration
 	// MaxInFlight bounds concurrently served predict requests; excess
 	// requests get 429, lowest priority first (low tier sheds at 50% of
@@ -118,9 +119,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 256
@@ -194,7 +192,7 @@ func (s *Server) Load(name string, a *model.Artifact) error {
 		sm.kx = kx
 		sm.cache = newRowCache(s.cfg.CacheRows)
 	}
-	sm.batcher = newBatcher(sm.scoreBatch, scorer.Dim(), s.cfg.MaxBatch, s.cfg.MaxWait)
+	sm.batcher = newBatcher(sm.scoreBatch, scorer.Dim(), s.cfg.MaxBatch)
 
 	s.mu.Lock()
 	old := s.models[name]

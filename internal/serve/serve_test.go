@@ -8,12 +8,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/apps/modelzoo"
 	"repro/internal/linalg"
+	"repro/internal/linear"
 	"repro/internal/model"
 )
 
@@ -82,7 +84,7 @@ func TestBatchingDeterminism(t *testing.T) {
 	for _, maxBatch := range []int{1, 4, 64} {
 		maxBatch := maxBatch
 		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
-			s := newTestServer(t, Config{MaxBatch: maxBatch, MaxWait: time.Millisecond, CacheRows: 64})
+			s := newTestServer(t, Config{MaxBatch: maxBatch, CacheRows: 64})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
@@ -137,7 +139,7 @@ func TestBatchingDeterminism(t *testing.T) {
 // TestMultiInstanceRequest: one request carrying the whole probe set
 // must score bit-identically too (instances batch with each other).
 func TestMultiInstanceRequest(t *testing.T) {
-	s := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s := newTestServer(t, Config{MaxBatch: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for _, tr := range zoo(t) {
@@ -394,7 +396,7 @@ func TestBatcherDrain(t *testing.T) {
 		}
 		return out, nil
 	}
-	b := newBatcher(score, 1, 4, 50*time.Millisecond)
+	b := newBatcher(score, 1, 4)
 	const n = 32
 	chans := make([]<-chan batchResponse, n)
 	for i := 0; i < n; i++ {
@@ -431,7 +433,7 @@ func TestBatcherPanicRecovery(t *testing.T) {
 		}
 		return make([]float64, x.Rows), nil
 	}
-	b := newBatcher(score, 1, 1, time.Millisecond)
+	b := newBatcher(score, 1, 1)
 	defer b.close()
 	ch, err := b.submit(context.Background(), []float64{1})
 	if err != nil {
@@ -446,5 +448,95 @@ func TestBatcherPanicRecovery(t *testing.T) {
 	}
 	if resp := <-ch; resp.err != nil {
 		t.Fatalf("batcher died after a panic: %v", resp.err)
+	}
+}
+
+// TestLoneRequestDoesNotLinger: a single request is scored as soon as
+// it is queued. MaxWait is ignored, so an hour of it cannot hold the
+// batch open past the request's 2 s deadline.
+func TestLoneRequestDoesNotLinger(t *testing.T) {
+	m := &linear.Regression{W: []float64{1, -2, 0.5}, B: 3}
+	a, err := model.Encode(m, model.Meta{Name: "lone", Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{MaxBatch: 16, MaxWait: time.Hour, RequestTimeout: 2 * time.Second})
+	defer s.Close()
+	if err := s.Load("", a); err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{1, 2, 3}
+	rec := predictVia(s.Handler(), "lone", "", [][]float64{x})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("lone request: status %d (%s), want 200", rec.Code, rec.Body.String())
+	}
+	var pr predictResponse
+	if err := json.NewDecoder(rec.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if want := m.Predict(x); pr.Predictions[0] != want {
+		t.Fatalf("lone request = %v, want %v", pr.Predictions[0], want)
+	}
+}
+
+// TestBatchesFormWhileScorerBusy: the batcher scores the first request
+// alone and at once; the requests that queue while it is being scored
+// form the next batches, at most maxBatch rows each. Every value is
+// bit-identical to scoring its row alone.
+func TestBatchesFormWhileScorerBusy(t *testing.T) {
+	const maxBatch = 8
+	scoreRows := func(x *linalg.Matrix) []float64 {
+		out := make([]float64, x.Rows)
+		for i := range out {
+			out[i] = math.Sqrt(x.Row(i)[0]) / 3
+		}
+		return out
+	}
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var sizes []int // appended only by the batcher goroutine
+	score := func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
+		sizes = append(sizes, x.Rows)
+		if len(sizes) == 1 {
+			close(entered)
+			<-gate
+		}
+		return scoreRows(x), nil
+	}
+	b := newBatcher(score, 1, maxBatch)
+	defer b.close()
+	var release sync.Once
+	defer release.Do(func() { close(gate) }) // before close, on any failure
+
+	const n = 1 + maxBatch + 3
+	chans := make([]<-chan batchResponse, n)
+	for i := 0; i < n; i++ {
+		ch, err := b.submit(context.Background(), []float64{float64(i)})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		chans[i] = ch
+		if i == 0 {
+			// The first batch must be scored while the rest queue.
+			select {
+			case <-entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a lone queued request was not scored")
+			}
+		}
+	}
+	release.Do(func() { close(gate) })
+	for i, ch := range chans {
+		resp := <-ch
+		if resp.err != nil {
+			t.Fatalf("request %d: %v", i, resp.err)
+		}
+		one := linalg.NewMatrix(1, 1)
+		one.Row(0)[0] = float64(i)
+		if want := scoreRows(one)[0]; math.Float64bits(resp.value) != math.Float64bits(want) {
+			t.Fatalf("request %d: batched %v, serial %v", i, resp.value, want)
+		}
+	}
+	if want := []int{1, maxBatch, 3}; !slices.Equal(sizes, want) {
+		t.Fatalf("batch sizes %v, want %v", sizes, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"time"
 
 	"repro/internal/gp"
 	"repro/internal/linalg"
@@ -91,7 +90,7 @@ func DiffPaths(m any, probes *linalg.Matrix) error {
 		}
 		for _, cfg := range []serve.Config{
 			{MaxBatch: 1},
-			{MaxBatch: 8, MaxWait: time.Millisecond},
+			{MaxBatch: 8},
 		} {
 			got, err := scoreViaHTTP(art, cfg, sub)
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/model"
@@ -51,7 +50,7 @@ func DiffPathsCluster(m any, probes *linalg.Matrix) error {
 	}
 
 	const name = "diff"
-	lc, err := cluster.NewLocal(3, serve.Config{MaxBatch: 8, MaxWait: time.Millisecond}, cluster.Config{
+	lc, err := cluster.NewLocal(3, serve.Config{MaxBatch: 8}, cluster.Config{
 		Replication: 3,
 		SpreadMin:   2,
 	})
