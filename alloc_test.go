@@ -23,6 +23,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/kernel/approx"
+	"repro/internal/linalg"
 	"repro/internal/linear"
 	"repro/internal/parallel"
 	"repro/internal/rules"
@@ -179,9 +180,9 @@ func TestAllocFloor(t *testing.T) {
 		{"svc_predict_batch_into", func() { svc.PredictBatchInto(probes, out) }},
 		{"oneclass_decision_batch_into", func() { oc.DecisionBatchInto(probes, out) }},
 		{"gp_predict_batch_into", func() { gpm.PredictBatchInto(regProbes, out) }},
-		{"ridge_predict_batch_into", func() { ridge.PredictBatchInto(regProbes, out) }},
-		{"tree_predict_batch_into", func() { cart.PredictBatchInto(probes, out) }},
-		{"rules_predict_batch_into", func() { ruleSet.PredictBatchInto(probes, out) }},
+		{"ridge_predict_batch_into", func() { linalg.PredictRowsInto(regProbes, out, ridge) }},
+		{"tree_predict_batch_into", func() { linalg.PredictRowsInto(probes, out, cart) }},
+		{"rules_predict_batch_into", func() { linalg.PredictRowsInto(probes, out, ruleSet) }},
 		{"approx_rff_score_batch_into", func() { rffLin.ScoreBatchInto(probes, out) }},
 		{"approx_nystrom_score_batch_into", func() { nysLin.ScoreBatchInto(probes, out) }},
 		{"spectrum_eval_multi", func() { specSink += spec.EvalMulti(specA, specB) }},

@@ -24,7 +24,13 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/linalg"
+	"repro/internal/linear"
+	"repro/internal/obs"
+	"repro/internal/parallel"
+	"repro/internal/rules"
 	"repro/internal/testkit"
+	"repro/internal/tree"
 )
 
 // conformanceSeed is the fixed root seed for every sweep. Change it and
@@ -232,21 +238,19 @@ var intoEntryPoint = regexp.MustCompile(`(?m)^func (?:\([^)]+\) )?([A-Z]\w*Into)
 // TestConformanceIntoCompleteness; so does leaving a stale entry after
 // deleting one.
 var coveredInto = map[string]string{
-	"linalg.MulInto":          "linalg.TestIntoVariantsMatchAllocating",
-	"linalg.MulVecInto":       "linalg.TestIntoVariantsMatchAllocating",
-	"linalg.ColInto":          "linalg.TestColInto",
-	"kernel.GramInto":         "kernel.TestIntoVariantsMatchAllocating",
-	"kernel.CrossGramInto":    "core/colmat conformer (fresh vs recycled buffer) + kernel.TestIntoVariantsMatchAllocating",
-	"kernel.WindowInto":       "kernel.TestIntoVariantsMatchAllocating + stream/incremental conformer",
-	"svm.DecisionBatchInto":   "core/colmat conformer + DiffPaths differential sweep",
-	"svm.PredictBatchInto":    "DiffPaths differential sweep (svm/svc, all worker counts)",
-	"gp.PredictBatchInto":     "DiffPaths differential sweep (gp, all worker counts)",
-	"linear.PredictBatchInto": "DiffPaths differential sweep (linear/ridge, all worker counts)",
-	"tree.PredictBatchInto":   "DiffPaths differential sweep (tree, all worker counts)",
-	"rules.PredictBatchInto":  "DiffPaths differential sweep (rules/cn2sd, all worker counts)",
-	"approx.ScoreBatchInto":   "DiffPaths differential sweep (*-approx kinds) + alloc gate",
-	"model.ScoreBatchInto":    "DiffPaths differential sweep (every persisted kind over Scorer) + alloc gate",
-	"dataset.ColInto":         "delegates to linalg.ColInto; see linalg.TestColInto",
+	"linalg.MulInto":         "linalg.TestIntoVariantsMatchAllocating",
+	"linalg.MulVecInto":      "linalg.TestIntoVariantsMatchAllocating",
+	"linalg.ColInto":         "linalg.TestColInto",
+	"linalg.PredictRowsInto": "TestPredictRowsIntoBothBranches (tree, rules, ridge: serial and parallel branches, 1/2/8 workers) + DiffPaths differential sweep (serial branch only: probe sets stay under the cutover) + alloc gate",
+	"kernel.GramInto":        "kernel.TestIntoVariantsMatchAllocating",
+	"kernel.CrossGramInto":   "core/colmat conformer (fresh vs recycled buffer) + kernel.TestIntoVariantsMatchAllocating",
+	"kernel.WindowInto":      "kernel.TestIntoVariantsMatchAllocating + stream/incremental conformer",
+	"svm.DecisionBatchInto":  "core/colmat conformer + DiffPaths differential sweep",
+	"svm.PredictBatchInto":   "DiffPaths differential sweep (svm/svc, all worker counts)",
+	"gp.PredictBatchInto":    "DiffPaths differential sweep (gp, all worker counts)",
+	"approx.ScoreBatchInto":  "DiffPaths differential sweep (*-approx kinds) + alloc gate",
+	"model.ScoreBatchInto":   "DiffPaths differential sweep (every persisted kind over Scorer); the alloc gate measures the Into methods it forwards to",
+	"dataset.ColInto":        "delegates to linalg.ColInto; see linalg.TestColInto",
 }
 
 // TestConformanceIntoCompleteness scans internal/ for Into-suffixed
@@ -255,6 +259,112 @@ var coveredInto = map[string]string{
 // test pinning it to its allocating twin.
 func TestConformanceIntoCompleteness(t *testing.T) {
 	found := map[string]bool{}
+	scanInternalSources(t, func(pkg string, src []byte) {
+		for _, m := range intoEntryPoint.FindAllSubmatch(src, -1) {
+			found[pkg+"."+string(m[1])] = true
+		}
+	})
+	if len(found) == 0 {
+		t.Fatal("Into-entry-point scan found nothing — the regexp is broken")
+	}
+	for key := range found {
+		if _, ok := coveredInto[key]; !ok {
+			t.Errorf("Into entry point %s has no coverage entry; add a test pinning it "+
+				"to its allocating twin and record it in coveredInto", key)
+		}
+	}
+	for key := range coveredInto {
+		if !found[key] {
+			t.Errorf("coveredInto lists %s but no such entry point exists; remove the stale entry", key)
+		}
+	}
+}
+
+// derivedScoringForm matches the scoring forms that are derived once
+// from a learner's row primitive instead of being written per learner:
+// an exported allocating batch method, and a per-learner loop over a
+// dataset's rows.
+var derivedScoringForm = regexp.MustCompile(`(?m)^func \([^)]+\) ` +
+	`([A-Z]\w*Batch\(\w+ \*linalg\.Matrix\) \[\]float64|[A-Z]\w*All\(\w+ \*dataset\.Dataset\))`)
+
+// TestConformanceOneScoringPrimitive keeps each learner at one row
+// primitive (Predict or Decision) plus at most one destination-passing
+// Into batch method. Everything else is derived by the shared helpers,
+// so a per-learner copy of them fails here.
+func TestConformanceOneScoringPrimitive(t *testing.T) {
+	scanInternalSources(t, func(pkg string, src []byte) {
+		for _, m := range derivedScoringForm.FindAllSubmatch(src, -1) {
+			t.Errorf("%s declares %s; call the Into form on a caller-allocated slice, "+
+				"linalg.PredictRowsInto for a batch over Predict, or dataset.PredictAll "+
+				"for a loop over a dataset's rows", pkg, m[1])
+		}
+	})
+}
+
+// TestPredictRowsIntoBothBranches drives the shared row-parallel helper
+// across its cutover: 2×cutover+1 rows, NaN and ±Inf rows included, at
+// 1, 2 and 8 workers, for each learner kind it serves. The output must
+// be bit-identical to per-row Predict, and with more than one worker the
+// parallel branch must actually run.
+func TestPredictRowsIntoBothBranches(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	r := rand.New(rand.NewSource(testkit.Mix(conformanceSeed, 2)))
+	dcls := testkit.GenClassification(r, 60, 4, 2.0)
+	dreg := testkit.GenRegression(r, 60, 5, 0.3)
+
+	cart, err := tree.Fit(dcls, tree.Config{MaxDepth: 6})
+	if err != nil {
+		t.Fatalf("fit tree: %v", err)
+	}
+	ruleList, err := rules.CN2SD(dcls, 1, rules.CN2SDConfig{})
+	if err != nil {
+		t.Fatalf("fit rules: %v", err)
+	}
+	ridge, err := linear.FitRidge(dreg, 0.1)
+	if err != nil {
+		t.Fatalf("fit ridge: %v", err)
+	}
+	n := 2*linalg.PredictRowsCutover + 1
+	cases := []struct {
+		name string
+		p    linalg.RowPredictor
+		d    *dataset.Dataset
+	}{
+		{"tree", cart, dcls},
+		{"rules", &rules.RuleSet{Rules: ruleList, Target: 1, Default: 0}, dcls},
+		{"ridge", ridge, dreg},
+	}
+	parallelRuns := obs.GetCounter("parallel.for_parallel")
+	for _, c := range cases {
+		adv := testkit.AdversarialRows(c.d.Dim(), true)
+		probes := testkit.AppendRows(testkit.GenProbes(r, c.d, n-adv.Rows), adv)
+		if probes.Rows != n {
+			t.Fatalf("%s: %d probe rows, want %d", c.name, probes.Rows, n)
+		}
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = c.p.Predict(probes.Row(i))
+		}
+		for _, w := range testkit.DiffWorkerCounts {
+			old := parallel.SetWorkers(w)
+			before := parallelRuns.Value()
+			got := linalg.PredictRowsInto(probes, make([]float64, n), c.p)
+			ranParallel := parallelRuns.Value() > before
+			parallel.SetWorkers(old)
+			if err := testkit.Exact.Compare(want, got); err != nil {
+				t.Errorf("%s at %d workers: %v", c.name, w, err)
+			}
+			if ranParallel != (w > 1) {
+				t.Errorf("%s at %d workers: parallel branch ran = %v", c.name, w, ranParallel)
+			}
+		}
+	}
+}
+
+// scanInternalSources calls fn with the package name and source of
+// every non-test Go file under internal/.
+func scanInternalSources(t *testing.T, fn func(pkg string, src []byte)) {
+	t.Helper()
 	var walk func(dir string)
 	walk = func(dir string) {
 		entries, err := os.ReadDir(dir)
@@ -274,27 +384,10 @@ func TestConformanceIntoCompleteness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read %s: %v", path, err)
 			}
-			pkg := filepath.Base(dir)
-			for _, m := range intoEntryPoint.FindAllSubmatch(src, -1) {
-				found[pkg+"."+string(m[1])] = true
-			}
+			fn(filepath.Base(dir), src)
 		}
 	}
 	walk("internal")
-	if len(found) == 0 {
-		t.Fatal("Into-entry-point scan found nothing — the regexp is broken")
-	}
-	for key := range found {
-		if _, ok := coveredInto[key]; !ok {
-			t.Errorf("Into entry point %s has no coverage entry; add a test pinning it "+
-				"to its allocating twin and record it in coveredInto", key)
-		}
-	}
-	for key := range coveredInto {
-		if !found[key] {
-			t.Errorf("coveredInto lists %s but no such entry point exists; remove the stale entry", key)
-		}
-	}
 }
 
 // TestConformanceReplay proves the reproduction contract: the

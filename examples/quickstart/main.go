@@ -43,20 +43,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("5-NN", knnModel.ClassifyAll(test))
+	report("5-NN", dataset.PredictAll(test, knnModel.Classify))
 
 	// Idea 2 (model estimation): a decision tree as the assumed model.
 	cart, err := tree.Fit(train, tree.Config{MaxDepth: 6})
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("CART tree", cart.PredictAll(test))
+	report("CART tree", dataset.PredictAll(test, cart.Predict))
 
 	forest, err := tree.FitForest(rng, train, tree.ForestConfig{NTrees: 40})
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("random forest", forest.PredictAll(test))
+	report("random forest", dataset.PredictAll(test, forest.Predict))
 
 	// Ideas 3+4 (density estimation / Bayes rule): quadratic discriminant
 	// analysis implements the paper's Equation 1 decision function.
@@ -64,13 +64,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("QDA (paper Eq. 1)", qda.PredictAll(test))
+	report("QDA (paper Eq. 1)", dataset.PredictAll(test, qda.Predict))
 
 	nb, err := bayes.FitNaiveBayes(train)
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("naive Bayes", nb.PredictAll(test))
+	report("naive Bayes", dataset.PredictAll(test, nb.Predict))
 
 	// Kernel methods (Section 2.2): an RBF-kernel SVM handles XOR, where
 	// any linear model fails.
@@ -78,13 +78,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("SVC (RBF kernel)", rbf.PredictAll(test))
+	report("SVC (RBF kernel)", dataset.PredictAll(test, rbf.Predict))
 
 	linear, err := svm.FitSVC(train, kernel.Linear{}, svm.SVCConfig{C: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("SVC (linear kernel)", linear.PredictAll(test))
+	report("SVC (linear kernel)", dataset.PredictAll(test, linear.Predict))
 
 	fmt.Println("\nnote how the linear SVC fails on XOR while the kernelized one")
 	fmt.Println("succeeds — Figure 3's lesson, on a different dataset.")

@@ -59,14 +59,14 @@ func Fig3(seed int64, n int) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.LinearAccuracy = validate.Accuracy(lin.PredictAll(d), d.Y)
+	res.LinearAccuracy = validate.Accuracy(dataset.PredictAll(d, lin.Predict), d.Y)
 	_, res.PerceptronMistakes = linear.FitPerceptron(d, 50)
 
 	quad, err := svm.FitSVC(d, kernel.Poly{Degree: 2, Gamma: 1}, svm.SVCConfig{C: 10, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	res.QuadAccuracy = validate.Accuracy(quad.PredictAll(d), d.Y)
+	res.QuadAccuracy = validate.Accuracy(dataset.PredictAll(d, quad.Predict), d.Y)
 
 	// Explicit feature space Φ(x) = (x1², x2², √2·x1x2).
 	phiRows := make([][]float64, d.Len())
@@ -78,7 +78,7 @@ func Fig3(seed int64, n int) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.ExplicitAccuracy = validate.Accuracy(expl.PredictAll(phi), phi.Y)
+	res.ExplicitAccuracy = validate.Accuracy(dataset.PredictAll(phi, expl.Predict), phi.Y)
 
 	// Verify the kernel identity numerically on the data.
 	k := kernel.Poly{Degree: 2, Gamma: 1}
@@ -140,7 +140,7 @@ func Fig5(seed int64, nTrain int) (*Fig5Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return m.PredictAll(ptr), m.PredictAll(pev), nil
+		return dataset.PredictAll(ptr, m.Predict), dataset.PredictAll(pev, m.Predict), nil
 	}
 	curve, err := validate.ComplexityCurve(train, valid,
 		[]int{1, 2, 3, 4, 5, 7, 9, 12, 15, 18}, trainer, validate.MSE)
@@ -201,7 +201,7 @@ func Sec2Regressors(seed int64, n int) (*Sec2Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("survey: %s: %w", nr.Name, err)
 		}
-		pred := m.PredictAll(test)
+		pred := dataset.PredictAll(test, m.Predict)
 		res.Scores = append(res.Scores, RegressorScore{
 			Name: nr.Name,
 			RMSE: validate.RMSE(pred, test.Y),

@@ -79,15 +79,6 @@ func (nb *NaiveBayes) Predict(x []float64) float64 {
 	return float64(nb.Classes[stats.ArgMax(lp)])
 }
 
-// PredictAll predicts every row of d.
-func (nb *NaiveBayes) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = nb.Predict(d.Row(i))
-	}
-	return out
-}
-
 // Discriminant is a fitted Gaussian discriminant-analysis classifier.
 // When Quadratic is false a pooled covariance is used (LDA); otherwise each
 // class keeps its own covariance (QDA). The decision follows paper Eq. 1:
@@ -221,13 +212,4 @@ func (m *Discriminant) Predict(x []float64) float64 {
 		}
 	}
 	return float64(m.Classes[best])
-}
-
-// PredictAll predicts every row of d.
-func (m *Discriminant) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = m.Predict(d.Row(i))
-	}
-	return out
 }

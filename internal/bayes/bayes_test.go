@@ -18,7 +18,7 @@ func TestNaiveBayesTwoGaussians(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := validate.Accuracy(nb.PredictAll(te), te.Y)
+	acc := validate.Accuracy(dataset.PredictAll(te, nb.Predict), te.Y)
 	if acc < 0.95 {
 		t.Fatalf("naive bayes accuracy %g", acc)
 	}
@@ -57,7 +57,7 @@ func TestLDAAccuracyAndDecisionSign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := validate.Accuracy(m.PredictAll(d), d.Y)
+	acc := validate.Accuracy(dataset.PredictAll(d, m.Predict), d.Y)
 	if acc < 0.95 {
 		t.Fatalf("LDA accuracy %g", acc)
 	}
@@ -96,8 +96,8 @@ func TestQDAHandlesUnequalCovariances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qAcc := validate.Accuracy(qda.PredictAll(d), d.Y)
-	lAcc := validate.Accuracy(lda.PredictAll(d), d.Y)
+	qAcc := validate.Accuracy(dataset.PredictAll(d, qda.Predict), d.Y)
+	lAcc := validate.Accuracy(dataset.PredictAll(d, lda.Predict), d.Y)
 	if qAcc < 0.85 {
 		t.Fatalf("QDA accuracy %g", qAcc)
 	}
@@ -113,7 +113,7 @@ func TestDiscriminantMulticlass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := validate.Accuracy(m.PredictAll(d), d.Y)
+	acc := validate.Accuracy(dataset.PredictAll(d, m.Predict), d.Y)
 	if acc < 0.95 {
 		t.Fatalf("multiclass LDA accuracy %g", acc)
 	}

@@ -97,15 +97,6 @@ func (m *KDE) Predict(x []float64) float64 {
 	return float64(m.Classes[best])
 }
 
-// PredictAll predicts every row of d.
-func (m *KDE) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = m.Predict(d.Row(i))
-	}
-	return out
-}
-
 // Density returns the (non-log) estimated density of x under class c's
 // KDE, for novelty-detection style use.
 func (m *KDE) Density(c int, x []float64) float64 {

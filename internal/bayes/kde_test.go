@@ -17,7 +17,7 @@ func TestKDEClassifiesGaussians(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := validate.Accuracy(m.PredictAll(te), te.Y); acc < 0.93 {
+	if acc := validate.Accuracy(dataset.PredictAll(te, m.Predict), te.Y); acc < 0.93 {
 		t.Fatalf("KDE accuracy %g", acc)
 	}
 }
@@ -50,8 +50,8 @@ func TestKDEBeatsGaussianOnBimodalClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kAcc := validate.Accuracy(kde.PredictAll(d), d.Y)
-	qAcc := validate.Accuracy(qda.PredictAll(d), d.Y)
+	kAcc := validate.Accuracy(dataset.PredictAll(d, kde.Predict), d.Y)
+	qAcc := validate.Accuracy(dataset.PredictAll(d, qda.Predict), d.Y)
 	if kAcc < 0.97 {
 		t.Fatalf("KDE accuracy %g on bimodal class", kAcc)
 	}

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/dataset"
 	"repro/internal/gp"
 	"repro/internal/kernel"
 	"repro/internal/knn"
 	"repro/internal/linear"
 	"repro/internal/svm"
-	"repro/internal/tree"
 )
 
 // FiveRegressors returns the five regressor families of the paper's Fmax
@@ -17,79 +14,30 @@ import (
 // LSF (ridge), SVM regression, and Gaussian process.
 func FiveRegressors() []NamedRegressor {
 	return []NamedRegressor{
-		{Name: "kNN", Fit: func(d *dataset.Dataset) (Regressor, error) {
+		{Name: "kNN", Fit: func(d *dataset.Dataset) (Predictor, error) {
 			m, err := knn.Fit(d, 5, nil)
 			if err != nil {
 				return nil, err
 			}
 			return knnRegressor{m}, nil
 		}},
-		{Name: "LSF", Fit: func(d *dataset.Dataset) (Regressor, error) {
+		{Name: "LSF", Fit: func(d *dataset.Dataset) (Predictor, error) {
 			return linear.FitOLS(d)
 		}},
-		{Name: "ridge", Fit: func(d *dataset.Dataset) (Regressor, error) {
+		{Name: "ridge", Fit: func(d *dataset.Dataset) (Predictor, error) {
 			return linear.FitRidge(d, 1.0)
 		}},
-		{Name: "SVR", Fit: func(d *dataset.Dataset) (Regressor, error) {
+		{Name: "SVR", Fit: func(d *dataset.Dataset) (Predictor, error) {
 			return svm.FitSVR(d, kernel.RBF{Gamma: 1.0 / float64(d.Dim())},
 				svm.SVRConfig{C: 10, Epsilon: 0.1, MaxIters: 30000})
 		}},
-		{Name: "GP", Fit: func(d *dataset.Dataset) (Regressor, error) {
+		{Name: "GP", Fit: func(d *dataset.Dataset) (Predictor, error) {
 			return gp.Fit(d, gp.Config{Kernel: kernel.RBF{Gamma: 1.0 / float64(d.Dim())}, Noise: 0.05})
 		}},
 	}
 }
 
-// knnRegressor adapts the kNN model's Regress method to the Regressor
-// interface.
+// knnRegressor adapts the kNN model's Regress method to Predictor.
 type knnRegressor struct{ m *knn.Model }
 
 func (k knnRegressor) Predict(x []float64) float64 { return k.m.Regress(x) }
-func (k knnRegressor) PredictAll(d *dataset.Dataset) []float64 {
-	return k.m.RegressAll(d)
-}
-
-// StandardClassifiers returns ready-made classifier fitters for the
-// common families, used by the quickstart example and the survey bench.
-func StandardClassifiers(rng *rand.Rand) map[string]ClassifierFitter {
-	return map[string]ClassifierFitter{
-		"knn": func(d *dataset.Dataset) (Classifier, error) {
-			m, err := knn.Fit(d, 5, nil)
-			if err != nil {
-				return nil, err
-			}
-			return knnClassifier{m}, nil
-		},
-		"svc-rbf": func(d *dataset.Dataset) (Classifier, error) {
-			return svm.FitSVC(d, kernel.RBF{Gamma: 1.0 / float64(d.Dim())}, svm.SVCConfig{C: 5})
-		},
-		"tree": func(d *dataset.Dataset) (Classifier, error) {
-			return tree.Fit(d, tree.Config{MaxDepth: 8})
-		},
-		"forest": func(d *dataset.Dataset) (Classifier, error) {
-			return tree.FitForest(rng, d, tree.ForestConfig{NTrees: 30, MaxDepth: 10})
-		},
-		"logistic": func(d *dataset.Dataset) (Classifier, error) {
-			return linear.FitLogistic(d, linear.LogisticConfig{Epochs: 300})
-		},
-	}
-}
-
-type knnClassifier struct{ m *knn.Model }
-
-func (k knnClassifier) Predict(x []float64) float64 { return k.m.Classify(x) }
-func (k knnClassifier) PredictAll(d *dataset.Dataset) []float64 {
-	return k.m.ClassifyAll(d)
-}
-
-// Interface conformance checks for the concrete learner types used across
-// the applications.
-var (
-	_ Regressor       = (*linear.Regression)(nil)
-	_ Regressor       = (*gp.Regressor)(nil)
-	_ Regressor       = (*svm.SVR)(nil)
-	_ Classifier      = (*tree.Tree)(nil)
-	_ Classifier      = (*tree.Forest)(nil)
-	_ Classifier      = (*svm.SVC)(nil)
-	_ NoveltyDetector = (*svm.OneClass)(nil)
-)

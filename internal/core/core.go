@@ -1,19 +1,20 @@
 // Package core is the methodology layer — the paper's actual contribution.
-// It pins down the shared vocabulary of every application in this
-// repository:
+// It holds the shared vocabulary that the applications under
+// internal/apps draw on:
 //
 //   - Learning = Data + Knowledge (paper Section 1): data arrives as a
 //     dataset.Dataset or as a kernel over arbitrary sample objects;
 //     knowledge is injected either through the kernel (kernel-based
 //     learning, Section 2.2) or through the feature definitions
 //     (feature-based learning, Section 5).
-//   - Uniform learner interfaces so applications can swap algorithm
-//     families without touching problem formulation.
-//   - The iterative knowledge-discovery loop of Section 5: mine, present,
-//     evaluate with domain knowledge, adjust, repeat.
+//   - One learner interface, Predictor, so a study can swap algorithm
+//     families without touching its problem formulation (the §2.4
+//     regression survey iterates FiveRegressors).
+//   - The iterative knowledge-discovery loop of Section 5 (RunKDLoop) and
+//     the Section 1 suitability criteria (UsageCheck).
 //
-// The six packages under internal/apps are problem formulations built on
-// this layer, one per paper figure/table.
+// Batch scoring lives with the data, not here: dataset.PredictAll and
+// linalg.PredictRowsInto apply any learner's one-row method to every row.
 package core
 
 import (
@@ -22,43 +23,17 @@ import (
 	"repro/internal/dataset"
 )
 
-// Classifier is a fitted classification model.
-type Classifier interface {
-	// Predict returns the class label of one sample.
+// Predictor is a fitted model: Predict returns the class label of one
+// sample for a classifier, or the response for a regressor.
+type Predictor interface {
 	Predict(x []float64) float64
-	// PredictAll labels every row of d.
-	PredictAll(d *dataset.Dataset) []float64
 }
-
-// Regressor is a fitted regression model.
-type Regressor interface {
-	// Predict returns the response for one sample.
-	Predict(x []float64) float64
-	// PredictAll predicts every row of d.
-	PredictAll(d *dataset.Dataset) []float64
-}
-
-// NoveltyDetector flags samples outside the training support — the usage
-// model of the test-selection and customer-return applications.
-type NoveltyDetector interface {
-	// Decision returns a signed score; negative means novel.
-	Decision(x []float64) float64
-	// Novel reports whether x is outside the learned support.
-	Novel(x []float64) bool
-}
-
-// ClassifierFitter builds a classifier from a dataset; implementations
-// wrap the algorithm packages so applications can sweep families.
-type ClassifierFitter func(d *dataset.Dataset) (Classifier, error)
-
-// RegressorFitter builds a regressor from a dataset.
-type RegressorFitter func(d *dataset.Dataset) (Regressor, error)
 
 // NamedRegressor pairs a regressor family with its report name; the §2.4
 // five-family regression study ([20]) iterates over these.
 type NamedRegressor struct {
 	Name string
-	Fit  RegressorFitter
+	Fit  func(d *dataset.Dataset) (Predictor, error)
 }
 
 // KDStep is one iteration of the knowledge-discovery loop: it consumes the

@@ -69,6 +69,18 @@ func (d *Dataset) Col(j int) []float64 { return d.X.Col(j) }
 // scratch buffer across columns.
 func (d *Dataset) ColInto(j int, dst []float64) { d.X.ColInto(j, dst) }
 
+// PredictAll returns predict(d.Row(i)) for every sample, in row order.
+// Any learner's one-row method fits: m.Predict, m.Decision, or kNN's
+// m.Classify/m.Regress. The loop is serial because not every learner's
+// Predict is safe for concurrent calls.
+func PredictAll(d *Dataset, predict func(x []float64) float64) []float64 {
+	out := make([]float64, d.Len())
+	for i := range out {
+		out[i] = predict(d.Row(i))
+	}
+	return out
+}
+
 // FeatureName returns the name of feature j, or "f<j>" when unnamed.
 func (d *Dataset) FeatureName(j int) string {
 	if d.Names != nil && j < len(d.Names) {

@@ -92,19 +92,14 @@ func (g *Regressor) Predict(x []float64) float64 {
 	return mu
 }
 
-// PredictBatch returns the posterior mean for every row of x, amortizing
-// the kernel evaluations through one CrossGram sweep (parallel across
-// rows). Each mean is combined exactly as in PredictVar
-// (mean + Dot(kx, alpha)), so the batch path is bit-identical to calling
-// Predict row by row.
-func (g *Regressor) PredictBatch(x *linalg.Matrix) []float64 {
-	return g.PredictBatchInto(x, make([]float64, x.Rows))
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice
-// of length x.Rows; the cross-Gram scratch is leased from the columnar
-// arena, so a steady-state batch allocates nothing (alloc_test.go pins
-// this at 0 allocs/op).
+// PredictBatchInto writes the posterior mean for every row of x into a
+// caller-provided slice of length x.Rows and returns it, amortizing the
+// kernel evaluations through one CrossGram sweep (parallel across rows).
+// Each mean is combined exactly as in PredictVar (mean + Dot(kx, alpha)),
+// so the batch path is bit-identical to calling Predict row by row. The
+// cross-Gram scratch is leased from the columnar arena, so a
+// steady-state batch allocates nothing (alloc_test.go pins this at
+// 0 allocs/op).
 func (g *Regressor) PredictBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	if len(out) != x.Rows {
 		panic("gp: PredictBatchInto output length mismatch")
@@ -154,15 +149,6 @@ func (g *Regressor) PredictVar(x []float64) (mu, variance float64) {
 		variance = 0
 	}
 	return mu, variance
-}
-
-// PredictAll returns posterior means for every row of d.
-func (g *Regressor) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = g.Predict(d.Row(i))
-	}
-	return out
 }
 
 // LogMarginalLikelihood returns log p(y | X) of the fitted GP, the

@@ -54,7 +54,7 @@ func TestGPRegressionQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := validate.R2(g.PredictAll(test), test.Y)
+	r2 := validate.R2(dataset.PredictAll(test, g.Predict), test.Y)
 	if r2 < 0.9 {
 		t.Fatalf("GP R2 %g", r2)
 	}
@@ -100,7 +100,7 @@ func TestSelectGammaPicksSensibleScale(t *testing.T) {
 		t.Fatalf("selected gamma %g, want 10", gamma)
 	}
 	test := dataset.NoisySine(rng, 100, 0.05)
-	if r2 := validate.R2(m.PredictAll(test), test.Y); r2 < 0.9 {
+	if r2 := validate.R2(dataset.PredictAll(test, m.Predict), test.Y); r2 < 0.9 {
 		t.Fatalf("selected model R2 %g", r2)
 	}
 	if _, _, err := SelectGamma(d, nil, 0.01); err == nil {

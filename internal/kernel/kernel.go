@@ -186,7 +186,7 @@ func CrossGram(k Kernel, a, b *linalg.Matrix) *linalg.Matrix {
 // a.Rows × b.Rows. Every cell is written, so a pooled colmat buffer is
 // a valid destination. This is the batch-score hot path: the serial
 // case (one worker or a small batch) runs without a closure, so a
-// steady-state ScoreBatch with pooled buffers performs zero heap
+// steady-state ScoreBatchInto with pooled buffers performs zero heap
 // allocations. Identical arithmetic to CrossGram at any worker count.
 func CrossGramInto(k Kernel, a, b, g *linalg.Matrix) {
 	if g.Rows != a.Rows || g.Cols != b.Rows {

@@ -113,21 +113,3 @@ func (m *Model) Regress(x []float64) float64 {
 	}
 	return num / den
 }
-
-// ClassifyAll classifies every row of d.
-func (m *Model) ClassifyAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = m.Classify(d.Row(i))
-	}
-	return out
-}
-
-// RegressAll regresses every row of d.
-func (m *Model) RegressAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = m.Regress(d.Row(i))
-	}
-	return out
-}

@@ -48,7 +48,7 @@ func TestClassifyTwoGaussians(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := validate.Accuracy(m.ClassifyAll(te), te.Y)
+	acc := validate.Accuracy(dataset.PredictAll(te, m.Classify), te.Y)
 	if acc < 0.93 {
 		t.Fatalf("knn accuracy %g", acc)
 	}
@@ -60,7 +60,7 @@ func TestClassifyNonlinearRing(t *testing.T) {
 	d := dataset.RingAndCore(rng, 150, 1, 3, 0.05)
 	tr, te := d.StratifiedSplit(rng, 0.7)
 	m, _ := Fit(tr, 3, nil)
-	acc := validate.Accuracy(m.ClassifyAll(te), te.Y)
+	acc := validate.Accuracy(dataset.PredictAll(te, m.Classify), te.Y)
 	if acc < 0.97 {
 		t.Fatalf("knn ring accuracy %g", acc)
 	}
@@ -70,7 +70,7 @@ func TestK1MemorizesTraining(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := dataset.TwoGaussians(rng, 50, 3, 2, 1)
 	m, _ := Fit(d, 1, nil)
-	acc := validate.Accuracy(m.ClassifyAll(d), d.Y)
+	acc := validate.Accuracy(dataset.PredictAll(d, m.Classify), d.Y)
 	if acc != 1 {
 		t.Fatalf("1-NN training accuracy must be 1, got %g", acc)
 	}
@@ -92,7 +92,7 @@ func TestRegress(t *testing.T) {
 	if got < 1 || got > 1.5 {
 		t.Fatalf("weighted regress %g", got)
 	}
-	all := m.RegressAll(d)
+	all := dataset.PredictAll(d, m.Regress)
 	if len(all) != 5 {
 		t.Fatal("RegressAll length")
 	}

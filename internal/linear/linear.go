@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // Regression is a fitted linear regression model y ≈ w·x + b.
@@ -90,42 +89,6 @@ func (r *Regression) Predict(x []float64) float64 {
 	return linalg.Dot(r.W, x) + r.B
 }
 
-// PredictBatch returns Predict for every row of x, striping rows across
-// the worker pool. Each row is scored by the same expression as Predict,
-// so the result is bit-identical at any worker count.
-func (r *Regression) PredictBatch(x *linalg.Matrix) []float64 {
-	return r.PredictBatchInto(x, make([]float64, x.Rows))
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice
-// of length x.Rows. The serial path calls the scoring loop directly —
-// no closure, no goroutines — so a steady-state batch allocates nothing
-// (alloc_test.go pins this at 0 allocs/op).
-func (r *Regression) PredictBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	if len(out) != x.Rows {
-		panic("linear: PredictBatchInto output length mismatch")
-	}
-	if parallel.Workers() <= 1 || x.Rows < batchCutover {
-		r.predictRange(x, out, 0, x.Rows)
-	} else {
-		parallel.ForN(x.Rows, batchCutover, func(lo, hi int) {
-			r.predictRange(x, out, lo, hi)
-		})
-	}
-	return out
-}
-
-func (r *Regression) predictRange(x *linalg.Matrix, out []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = r.Predict(x.Row(i))
-	}
-}
-
-// batchCutover keeps small prediction batches serial: a single linear or
-// tree scoring pass is too cheap to amortize goroutine startup below a
-// few hundred rows.
-const batchCutover = 256
-
 // Validate checks that the fitted weights and intercept are finite — the
 // invariant the conformance suite asserts after every generated fit
 // (including fits on adversarial inputs such as constant or duplicated
@@ -140,15 +103,6 @@ func (r *Regression) Validate() error {
 		return fmt.Errorf("linear: non-finite intercept %v", r.B)
 	}
 	return nil
-}
-
-// PredictAll predicts every row of d.
-func (r *Regression) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = r.Predict(d.Row(i))
-	}
-	return out
 }
 
 // PolynomialFeatures expands a 1-D dataset into powers x, x², … x^degree.
@@ -249,15 +203,6 @@ func (l *Logistic) Predict(x []float64) float64 {
 		return 1
 	}
 	return 0
-}
-
-// PredictAll predicts every row of d.
-func (l *Logistic) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = l.Predict(d.Row(i))
-	}
-	return out
 }
 
 // Perceptron is the classic mistake-driven linear classifier; it exists to

@@ -44,7 +44,7 @@ func TestOLSRecoversCoefficients(t *testing.T) {
 		approx(t, m.W[j], w[j], 0.01, "weight")
 	}
 	approx(t, m.B, 3, 0.01, "intercept")
-	pred := m.PredictAll(d)
+	pred := dataset.PredictAll(d, m.Predict)
 	if validate.R2(pred, d.Y) < 0.999 {
 		t.Fatalf("R2 %g", validate.R2(pred, d.Y))
 	}
@@ -113,7 +113,7 @@ func TestLogisticSeparatesGaussians(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := validate.Accuracy(m.PredictAll(d), d.Y)
+	acc := validate.Accuracy(dataset.PredictAll(d, m.Predict), d.Y)
 	if acc < 0.95 {
 		t.Fatalf("logistic accuracy %g", acc)
 	}
@@ -163,7 +163,7 @@ func TestOverfittingCurveFig5Shape(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return m.PredictAll(ptr), m.PredictAll(pev), nil
+		return dataset.PredictAll(ptr, m.Predict), dataset.PredictAll(pev, m.Predict), nil
 	}
 	curve, err := validate.ComplexityCurve(train, valid,
 		[]int{1, 2, 3, 5, 7, 9, 12, 15, 18}, trainer, validate.MSE)

@@ -16,21 +16,37 @@ import (
 // model's primary scalar output for one sample — the predicted class
 // label for SVC / tree / rule-set classifiers, the posterior or fitted
 // mean for GP / ridge regressors, and the signed decision value for the
-// one-class detector (negative = novel). ScoreBatch scores every row of
-// a matrix through the model's amortized batch path and is bit-identical
-// to calling ScoreRow per row.
-type Scorer interface {
-	ScoreRow(x []float64) float64
-	ScoreBatch(x *linalg.Matrix) []float64
-	// ScoreBatchInto is ScoreBatch writing into a caller-provided slice
-	// of length x.Rows (panics on length mismatch) and returning it. It
-	// is the zero-allocation serving path: every model kind routes
-	// through pooled columnar scratch, so a steady-state call allocates
-	// nothing (alloc_test.go pins this at 0 allocs/op).
-	ScoreBatchInto(x *linalg.Matrix, out []float64) []float64
-	// Dim returns the expected input width (0 when the model accepts any
-	// width, e.g. a rule set with no conditions).
-	Dim() int
+// one-class detector (negative = novel).
+type Scorer struct {
+	row  func(x []float64) float64
+	into func(x *linalg.Matrix, out []float64) []float64
+	dim  int
+}
+
+// ScoreRow scores one sample.
+func (s Scorer) ScoreRow(x []float64) float64 { return s.row(x) }
+
+// ScoreBatchInto scores every row of x into a caller-provided slice of
+// length x.Rows (panics on length mismatch) and returns it, bit-identical
+// to ScoreRow per row. It is the zero-allocation serving path: every
+// model kind routes through pooled columnar scratch or the row loop of
+// linalg.PredictRowsInto, so a steady-state call allocates nothing
+// (alloc_test.go pins each of those paths at 0 allocs/op).
+func (s Scorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
+	return s.into(x, out)
+}
+
+// Dim returns the expected input width (0 when the model accepts any
+// width, e.g. a rule set with no conditions).
+func (s Scorer) Dim() int { return s.dim }
+
+// rowScorer is the Scorer of a learner without an amortized batch path:
+// its batch form is linalg.PredictRowsInto over the row primitive.
+func rowScorer(p linalg.RowPredictor, dim int) Scorer {
+	into := func(x *linalg.Matrix, out []float64) []float64 {
+		return linalg.PredictRowsInto(x, out, p)
+	}
+	return Scorer{row: p.Predict, into: into, dim: dim}
 }
 
 // KernelExpansion exposes the shared structure of the kernel models —
@@ -54,21 +70,21 @@ func (a *Artifact) Scorer() (Scorer, error) {
 		// Compiled fast path: one dot product through the feature map, no
 		// kernel expansion. Checked first so a compiled artifact can never
 		// fall through to an exact-kind scorer.
-		return approxScorer{m}, nil
+		return Scorer{row: m.ScoreRow, into: m.ScoreBatchInto, dim: m.Lin.Map.InputDim()}, nil
 	case *svm.SVC:
-		return svcScorer{m}, nil
+		return Scorer{row: m.Predict, into: m.PredictBatchInto, dim: m.SV.Cols}, nil
 	case *svm.OneClass:
-		return oneClassScorer{m}, nil
-	case *linear.Regression:
-		return ridgeScorer{m}, nil
+		return Scorer{row: m.Decision, into: m.DecisionBatchInto, dim: m.SV.Cols}, nil
 	case *gp.Regressor:
-		return gpScorer{m}, nil
+		return Scorer{row: m.Predict, into: m.PredictBatchInto, dim: m.X.Cols}, nil
+	case *linear.Regression:
+		return rowScorer(m, len(m.W)), nil
 	case *tree.Tree:
-		return treeScorer{m, a.Envelope.Features}, nil
+		return rowScorer(m, a.Envelope.Features), nil
 	case *rules.RuleSet:
-		return ruleSetScorer{m, a.Envelope.Features}, nil
+		return rowScorer(m, a.Envelope.Features), nil
 	default:
-		return nil, fmt.Errorf("%w: no scorer for %T", ErrKind, a.Model)
+		return Scorer{}, fmt.Errorf("%w: no scorer for %T", ErrKind, a.Model)
 	}
 }
 
@@ -126,72 +142,3 @@ func kernelRowEval(eval func(a, b []float64) float64, basis *linalg.Matrix) func
 		}
 	}
 }
-
-type approxScorer struct{ m *ApproxModel }
-
-func (s approxScorer) ScoreRow(x []float64) float64          { return s.m.ScoreRow(x) }
-func (s approxScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.ScoreBatch(x) }
-func (s approxScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	return s.m.ScoreBatchInto(x, out)
-}
-func (s approxScorer) Dim() int { return s.m.Lin.Map.InputDim() }
-
-type svcScorer struct{ m *svm.SVC }
-
-func (s svcScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s svcScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
-func (s svcScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	return s.m.PredictBatchInto(x, out)
-}
-func (s svcScorer) Dim() int { return s.m.SV.Cols }
-
-type oneClassScorer struct{ m *svm.OneClass }
-
-func (s oneClassScorer) ScoreRow(x []float64) float64          { return s.m.Decision(x) }
-func (s oneClassScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.DecisionBatch(x) }
-func (s oneClassScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	return s.m.DecisionBatchInto(x, out)
-}
-func (s oneClassScorer) Dim() int { return s.m.SV.Cols }
-
-type ridgeScorer struct{ m *linear.Regression }
-
-func (s ridgeScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s ridgeScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
-func (s ridgeScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	return s.m.PredictBatchInto(x, out)
-}
-func (s ridgeScorer) Dim() int { return len(s.m.W) }
-
-type gpScorer struct{ m *gp.Regressor }
-
-func (s gpScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s gpScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
-func (s gpScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	return s.m.PredictBatchInto(x, out)
-}
-func (s gpScorer) Dim() int { return s.m.X.Cols }
-
-type treeScorer struct {
-	m   *tree.Tree
-	dim int
-}
-
-func (s treeScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s treeScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
-func (s treeScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	return s.m.PredictBatchInto(x, out)
-}
-func (s treeScorer) Dim() int { return s.dim }
-
-type ruleSetScorer struct {
-	m   *rules.RuleSet
-	dim int
-}
-
-func (s ruleSetScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s ruleSetScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
-func (s ruleSetScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	return s.m.PredictBatchInto(x, out)
-}
-func (s ruleSetScorer) Dim() int { return s.dim }

@@ -202,15 +202,6 @@ func (m *MLP) Predict(x []float64) float64 {
 	return 0
 }
 
-// PredictAll predicts every row of d.
-func (m *MLP) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = m.Predict(d.Row(i))
-	}
-	return out
-}
-
 // Validate checks that every trained parameter is finite and the layer
 // shapes are mutually consistent. SGD on adversarial inputs (huge
 // magnitudes, subnormals) can silently blow weights up to ±Inf/NaN; the

@@ -16,7 +16,7 @@ func TestMLPSolvesXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := validate.Accuracy(m.PredictAll(d), d.Y)
+	acc := validate.Accuracy(dataset.PredictAll(d, m.Predict), d.Y)
 	if acc < 0.95 {
 		t.Fatalf("MLP XOR accuracy %g", acc)
 	}
@@ -30,7 +30,7 @@ func TestMLPClassifiesGaussians(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := validate.Accuracy(m.PredictAll(te), te.Y); acc < 0.92 {
+	if acc := validate.Accuracy(dataset.PredictAll(te, m.Predict), te.Y); acc < 0.92 {
 		t.Fatalf("MLP accuracy %g", acc)
 	}
 	// Probabilities lie in [0,1].
@@ -49,7 +49,7 @@ func TestMLPRegressionSine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := validate.R2(m.PredictAll(test), test.Y)
+	r2 := validate.R2(dataset.PredictAll(test, m.Predict), test.Y)
 	if r2 < 0.85 {
 		t.Fatalf("MLP sine R2 %g", r2)
 	}

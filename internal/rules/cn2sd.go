@@ -17,8 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
-	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // Op is a comparison operator in a rule condition.
@@ -403,48 +401,4 @@ func (rs *RuleSet) Validate(dim int) error {
 		}
 	}
 	return nil
-}
-
-// PredictAll predicts every row of d.
-func (rs *RuleSet) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = rs.Predict(d.Row(i))
-	}
-	return out
-}
-
-// PredictBatch returns Predict for every row of x, striping rows across
-// the worker pool. Rule matching is read-only on the fitted set, so the
-// result is bit-identical at any worker count.
-func (rs *RuleSet) PredictBatch(x *linalg.Matrix) []float64 {
-	return rs.PredictBatchInto(x, make([]float64, x.Rows))
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice
-// of length x.Rows. The serial path calls the matching loop directly —
-// no closure, no goroutines — so a steady-state batch allocates nothing
-// (alloc_test.go pins this at 0 allocs/op).
-func (rs *RuleSet) PredictBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	if len(out) != x.Rows {
-		panic("rules: PredictBatchInto output length mismatch")
-	}
-	if parallel.Workers() <= 1 || x.Rows < batchCutover {
-		rs.predictRange(x, out, 0, x.Rows)
-	} else {
-		parallel.ForN(x.Rows, batchCutover, func(lo, hi int) {
-			rs.predictRange(x, out, lo, hi)
-		})
-	}
-	return out
-}
-
-// batchCutover keeps small prediction batches serial: matching a few
-// hundred rows is too cheap to amortize goroutine startup.
-const batchCutover = 256
-
-func (rs *RuleSet) predictRange(x *linalg.Matrix, out []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = rs.Predict(x.Row(i))
-	}
 }

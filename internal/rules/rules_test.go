@@ -130,7 +130,7 @@ func TestRuleSetPrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := &RuleSet{Rules: rs, Target: 1, Default: 0}
-	pred := set.PredictAll(d)
+	pred := dataset.PredictAll(d, set.Predict)
 	correct := 0
 	for i := range pred {
 		if pred[i] == y[i] {

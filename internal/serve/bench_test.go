@@ -17,9 +17,11 @@ import (
 )
 
 // BenchmarkServeThroughput measures end-to-end HTTP predict throughput
-// (requests routed through the micro-batcher and kernel-row cache) at
-// 1, 8, and 64 concurrent clients against the SVC model — the kernel
-// kind whose Gram evaluation batching is meant to amortize. b.N counts
+// at 1, 8, and 64 concurrent clients against the SVC model — the kernel
+// kind whose Gram evaluation batching is meant to amortize. Requests go
+// through the micro-batcher to the uncached Scorer.ScoreBatchInto path:
+// the server runs with CacheRows: 0, so the kernel-row cache that
+// edaserved turns on by default is not measured here. b.N counts
 // single-instance predict requests. scripts/bench.sh records the
 // results in BENCH_ci.json; scripts/loadgen.sh is the ad-hoc twin for
 // a live server.

@@ -20,8 +20,10 @@ import (
 // concurrent clients against the SVC model, mirroring
 // BenchmarkServeThroughput so the router's overhead is directly
 // comparable (scripts/bench_ratchet.sh warns when replicas=1 costs
-// more than 1.5× the direct single-node path). b.N counts
-// single-instance predict requests.
+// more than 1.5× the direct single-node path). Like that benchmark,
+// every replica runs with CacheRows: 0, so it measures the uncached
+// Scorer.ScoreBatchInto path. b.N counts single-instance predict
+// requests.
 func BenchmarkClusterThroughput(b *testing.B) {
 	trained, err := modelzoo.TrainAll(17, 96, 64)
 	if err != nil {

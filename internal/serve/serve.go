@@ -101,8 +101,9 @@ type Config struct {
 	// requests get 429, lowest priority first (low tier sheds at 50% of
 	// the bound, normal at 90%, high at 100%). Default 256.
 	MaxInFlight int
-	// CacheRows is the kernel-row LRU capacity per kernel model; 0
-	// disables the cache. Default 1024.
+	// CacheRows is the kernel-row LRU capacity per kernel model. The
+	// zero value leaves the cache off; edaserved's -cache-rows flag
+	// turns it on at 1024.
 	CacheRows int
 	// RequestTimeout is the per-request deadline for predict requests:
 	// the request context (and through it the batcher and kernel eval)

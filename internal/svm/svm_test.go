@@ -18,7 +18,7 @@ func TestSVCLinearSeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := validate.Accuracy(m.PredictAll(d), d.Y)
+	acc := validate.Accuracy(dataset.PredictAll(d, m.Predict), d.Y)
 	if acc < 0.98 {
 		t.Fatalf("SVC linear accuracy %g", acc)
 	}
@@ -39,12 +39,12 @@ func TestSVCKernelTrickOnRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linAcc := validate.Accuracy(lin.PredictAll(d), d.Y)
+	linAcc := validate.Accuracy(dataset.PredictAll(d, lin.Predict), d.Y)
 	quad, err := FitSVC(d, kernel.Poly{Degree: 2, Gamma: 1, Coef0: 0}, SVCConfig{C: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quadAcc := validate.Accuracy(quad.PredictAll(d), d.Y)
+	quadAcc := validate.Accuracy(dataset.PredictAll(d, quad.Predict), d.Y)
 	if linAcc > 0.75 {
 		t.Fatalf("linear SVC should fail on the ring, got %g", linAcc)
 	}
@@ -60,7 +60,7 @@ func TestSVCRBFOnXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := validate.Accuracy(m.PredictAll(d), d.Y)
+	acc := validate.Accuracy(dataset.PredictAll(d, m.Predict), d.Y)
 	if acc < 0.95 {
 		t.Fatalf("RBF SVC on XOR accuracy %g", acc)
 	}
@@ -91,7 +91,7 @@ func TestSVCPreservesOriginalLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range m.PredictAll(d) {
+	for _, p := range dataset.PredictAll(d, m.Predict) {
 		if p != 3 && p != 7 {
 			t.Fatalf("prediction %g not an original label", p)
 		}
@@ -216,7 +216,7 @@ func TestSVRFitsLinearFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := m.PredictAll(d)
+	pred := dataset.PredictAll(d, m.Predict)
 	if r2 := validate.R2(pred, d.Y); r2 < 0.99 {
 		t.Fatalf("SVR linear R2 %g", r2)
 	}
@@ -233,7 +233,7 @@ func TestSVRNonlinearWithRBF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := m.PredictAll(d)
+	pred := dataset.PredictAll(d, m.Predict)
 	if r2 := validate.R2(pred, d.Y); r2 < 0.9 {
 		t.Fatalf("SVR sine R2 %g", r2)
 	}

@@ -186,14 +186,5 @@ func (m *SVR) Predict(x []float64) float64 {
 	return s
 }
 
-// PredictAll predicts every row of d.
-func (m *SVR) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = m.Predict(d.Row(i))
-	}
-	return out
-}
-
 // NumSV returns the number of support vectors.
 func (m *SVR) NumSV() int { return m.SV.Rows }

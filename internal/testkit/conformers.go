@@ -57,6 +57,19 @@ func rowScores(x *linalg.Matrix, f func([]float64) float64) []float64 {
 	return out
 }
 
+// batchScores adapts a destination-passing batch scorer to Fit.Predict.
+func batchScores(into func(x *linalg.Matrix, out []float64) []float64) func(*linalg.Matrix) []float64 {
+	return func(x *linalg.Matrix) []float64 { return into(x, make([]float64, x.Rows)) }
+}
+
+// predictRows is Fit.Predict for a learner batched by
+// linalg.PredictRowsInto — the path model.Scorer serves it through.
+func predictRows(p linalg.RowPredictor) func(*linalg.Matrix) []float64 {
+	return func(x *linalg.Matrix) []float64 {
+		return linalg.PredictRowsInto(x, make([]float64, x.Rows), p)
+	}
+}
+
 func init() {
 	registerSVC()
 	registerOneClass()
@@ -91,7 +104,7 @@ func registerSVC() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: batchScores(m.PredictBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			m := f.Model.(*svm.SVC)
@@ -137,7 +150,7 @@ func registerOneClass() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.DecisionBatch, Model: m}, nil
+			return &Fit{Predict: batchScores(m.DecisionBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			m := f.Model.(*svm.OneClass)
@@ -186,7 +199,7 @@ func registerStreamIncremental() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.DecisionBatch, Model: m}, nil
+			return &Fit{Predict: batchScores(m.DecisionBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			m := f.Model.(*svm.OneClass)
@@ -259,7 +272,7 @@ func registerRidge() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: predictRows(m), Model: m}, nil
 		},
 		Invariants: func(_ *Case, f *Fit) error {
 			return f.Model.(*linear.Regression).Validate()
@@ -291,7 +304,7 @@ func registerGP() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: batchScores(m.PredictBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			m := f.Model.(*gp.Regressor)
@@ -323,7 +336,7 @@ func registerTree() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: predictRows(m), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			return f.Model.(*tree.Tree).Validate(cs.Train.Dim())
@@ -357,7 +370,7 @@ func registerRules() {
 				return nil, err
 			}
 			m := &rules.RuleSet{Rules: rs, Target: 1, Default: 0}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: predictRows(m), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			return f.Model.(*rules.RuleSet).Validate(cs.Train.Dim())

@@ -47,9 +47,9 @@ func DiffPaths(m any, probes *linalg.Matrix) error {
 	// Reference: per-row scoring with the worker pool pinned to 1.
 	ref := scoreRows(scorer, probes, 1)
 
-	// Path: ScoreBatch at each worker count.
+	// Path: ScoreBatchInto at each worker count.
 	for _, w := range DiffWorkerCounts {
-		if err := compareAt(ref, func() []float64 { return scorer.ScoreBatch(probes) }, w); err != nil {
+		if err := compareAt(ref, func() []float64 { return scoreBatch(scorer, probes) }, w); err != nil {
 			return fmt.Errorf("batch path, %d workers: %w", w, err)
 		}
 	}
@@ -71,7 +71,7 @@ func DiffPaths(m any, probes *linalg.Matrix) error {
 		return fmt.Errorf("decoded row path: %w", err)
 	}
 	for _, w := range DiffWorkerCounts {
-		if err := compareAt(ref, func() []float64 { return dscorer.ScoreBatch(probes) }, w); err != nil {
+		if err := compareAt(ref, func() []float64 { return scoreBatch(dscorer, probes) }, w); err != nil {
 			return fmt.Errorf("decoded batch path, %d workers: %w", w, err)
 		}
 	}
@@ -228,6 +228,11 @@ func scoreRows(s model.Scorer, x *linalg.Matrix, n int) []float64 {
 		out[i] = s.ScoreRow(x.Row(i))
 	}
 	return out
+}
+
+// scoreBatch runs ScoreBatchInto into a fresh output slice.
+func scoreBatch(s model.Scorer, x *linalg.Matrix) []float64 {
+	return s.ScoreBatchInto(x, make([]float64, x.Rows))
 }
 
 // compareAt pins the worker pool to n, evaluates f, and checks bit

@@ -12,8 +12,6 @@ import (
 	"slices"
 
 	"repro/internal/dataset"
-	"repro/internal/linalg"
-	"repro/internal/parallel"
 )
 
 // Node is one node of a fitted tree.
@@ -358,50 +356,6 @@ func (t *Tree) Predict(x []float64) float64 {
 		}
 	}
 	return n.Value
-}
-
-// PredictAll predicts every row of d.
-func (t *Tree) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = t.Predict(d.Row(i))
-	}
-	return out
-}
-
-// PredictBatch returns Predict for every row of x, striping rows across
-// the worker pool. Routing is read-only on the fitted tree, so the result
-// is bit-identical at any worker count.
-func (t *Tree) PredictBatch(x *linalg.Matrix) []float64 {
-	return t.PredictBatchInto(x, make([]float64, x.Rows))
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice
-// of length x.Rows. The serial path calls the routing loop directly —
-// no closure, no goroutines — so a steady-state batch allocates nothing
-// (alloc_test.go pins this at 0 allocs/op).
-func (t *Tree) PredictBatchInto(x *linalg.Matrix, out []float64) []float64 {
-	if len(out) != x.Rows {
-		panic("tree: PredictBatchInto output length mismatch")
-	}
-	if parallel.Workers() <= 1 || x.Rows < batchCutover {
-		t.predictRange(x, out, 0, x.Rows)
-	} else {
-		parallel.ForN(x.Rows, batchCutover, func(lo, hi int) {
-			t.predictRange(x, out, lo, hi)
-		})
-	}
-	return out
-}
-
-// batchCutover keeps small prediction batches serial: routing a few
-// hundred rows is too cheap to amortize goroutine startup.
-const batchCutover = 256
-
-func (t *Tree) predictRange(x *linalg.Matrix, out []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = t.Predict(x.Row(i))
-	}
 }
 
 // Validate checks the structural partition invariant of a fitted (or

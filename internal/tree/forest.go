@@ -115,15 +115,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	return float64(best)
 }
 
-// PredictAll predicts every row of d.
-func (f *Forest) PredictAll(d *dataset.Dataset) []float64 {
-	out := make([]float64, d.Len())
-	for i := range out {
-		out[i] = f.Predict(d.Row(i))
-	}
-	return out
-}
-
 // FeatureImportance averages per-tree importances.
 func (f *Forest) FeatureImportance(dim int) []float64 {
 	imp := make([]float64, dim)

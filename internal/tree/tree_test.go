@@ -19,7 +19,7 @@ func TestTreeFitsSimpleRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := validate.Accuracy(tr.PredictAll(d), d.Y); acc != 1 {
+	if acc := validate.Accuracy(dataset.PredictAll(d, tr.Predict), d.Y); acc != 1 {
 		t.Fatalf("accuracy %g", acc)
 	}
 	if tr.Depth() != 1 || tr.Leaves() != 2 {
@@ -41,7 +41,7 @@ func TestTreeXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := validate.Accuracy(tr.PredictAll(d), d.Y); acc < 0.97 {
+	if acc := validate.Accuracy(dataset.PredictAll(d, tr.Predict), d.Y); acc < 0.97 {
 		t.Fatalf("XOR accuracy %g", acc)
 	}
 	if tr.Depth() < 2 {
@@ -134,8 +134,8 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sAcc := validate.Accuracy(single.PredictAll(test), test.Y)
-	fAcc := validate.Accuracy(forest.PredictAll(test), test.Y)
+	sAcc := validate.Accuracy(dataset.PredictAll(test, single.Predict), test.Y)
+	fAcc := validate.Accuracy(dataset.PredictAll(test, forest.Predict), test.Y)
 	if fAcc < sAcc-0.02 {
 		t.Fatalf("forest (%g) should not lose badly to single tree (%g)", fAcc, sAcc)
 	}
@@ -152,7 +152,7 @@ func TestForestRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := validate.R2(f.PredictAll(te), te.Y)
+	r2 := validate.R2(dataset.PredictAll(te, f.Predict), te.Y)
 	if r2 < 0.6 {
 		t.Fatalf("forest regression R2 %g", r2)
 	}
